@@ -14,7 +14,9 @@ Layout (all integers little-endian):
 
 Vectors (bias, output weight and stitch-scalar tensors, names starting
 with ``b_``, ``h`` or ``alpha_``) are stored as a single row and restored
-to 1-D on load.
+to 1-D on load. A file that parses but does not describe a valid model
+(unknown architecture, missing, extra, misshapen or non-finite tensors)
+is reported as a data error, like a truncated one.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import struct
 
 import numpy as np
 
-from .errors import DataError
-from .models import DomainSizes, DualTowerModel, MlpModel, ModelConfig
+from .errors import ConfigError, DataError
+from .models import DomainSizes, Model, ModelConfig
 
 __all__ = ["save_checkpoint", "load_checkpoint", "MAGIC", "FORMAT_VERSION"]
 
@@ -95,7 +97,14 @@ class _Reader:
         return struct.unpack("<d", self.take(8))[0]
 
     def text(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
+        try:
+            return self.take(self.u16()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"checkpoint has a malformed name ({exc})") from exc
+
+
+def _rows(params: dict, *names) -> int:
+    return next((params[n].shape[0] for n in names if n in params), 0)
 
 
 def load_checkpoint(path):
@@ -126,20 +135,18 @@ def load_checkpoint(path):
         rows = reader.u64()
         cols = reader.u64()
         data = np.frombuffer(reader.take(rows * cols * 8), dtype="<f8").astype(np.float64)
+        if name in params:
+            raise DataError(f"checkpoint stores tensor {name} twice")
+        if not np.all(np.isfinite(data)):
+            raise DataError(f"checkpoint tensor {name} has non-finite values")
         arr = data.reshape(rows, cols)
         params[name] = arr.ravel().copy() if _is_vector_name(name) else arr.copy()
     if reader.pos != len(reader.buf):
         raise DataError("checkpoint has trailing bytes")
 
-    if architecture == "mlp":
-        sizes = DomainSizes(
-            num_users=params["P"].shape[0],
-            num_items_target=params["Q"].shape[0],
-        )
-        return MlpModel(config, sizes, params)
-    sizes = DomainSizes(
-        num_users=params["P"].shape[0],
-        num_items_target=params["Q_t"].shape[0],
-        num_items_source=params["Q_s"].shape[0],
-    )
-    return DualTowerModel(config, sizes, params)
+    # mlp names its item table Q, the two-tower models Q_t and Q_s.
+    sizes = DomainSizes(_rows(params, "P"), _rows(params, "Q", "Q_t"), _rows(params, "Q_s"))
+    try:
+        return Model(config, sizes, params)
+    except ConfigError as exc:
+        raise DataError(f"{path} does not hold a valid model: {exc}") from exc

@@ -23,9 +23,9 @@ from . import data as dataio
 from . import studies
 from .errors import ConetError, ConfigError, DataError
 from .evaluation import evaluate
-from .models import DomainSizes, build_model
+from .models import DomainSizes, ModelConfig, build_model
 from .numerics import derive_rng
-from .training import TrainConfig, Trainer, make_scorer
+from .training import EpochStats, TrainConfig, Trainer, make_scorer
 
 ENV_OUTPUT_ROOT = "CONET_OUTPUT_ROOT"
 
@@ -60,18 +60,18 @@ class RunConfig:
     mrr_uncut: bool = False
     out: str = ""
 
-    def model_config(self):
-        base = studies.model_config_for(
-            self.architecture,
-            dataclasses.replace(
-                studies.ModelConfig(),
-                embedding_dim=self.embedding_dim,
-                hidden_widths=tuple(self.hidden_widths),
-                lasso_lambda=self.lasso_lambda,
-            ),
+    def base_model_config(self) -> ModelConfig:
+        """Model settings shared by every arm, before an architecture is resolved."""
+        return ModelConfig(
+            embedding_dim=self.embedding_dim,
+            hidden_widths=tuple(self.hidden_widths),
+            lasso_lambda=self.lasso_lambda,
         )
-        base.validate()
-        return base
+
+    def model_config(self) -> ModelConfig:
+        config = studies.model_config_for(self.architecture, self.base_model_config())
+        config.validate()
+        return config
 
     def train_config(self) -> TrainConfig:
         cfg = TrainConfig(
@@ -115,8 +115,6 @@ def _coerce(name: str, raw: str):
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     if name not in fields:
         raise ConfigError(f"unknown config key {name!r}")
-    if name in _INT_TUPLE_FIELDS:
-        return tuple(int(v) for v in str(raw).replace(" ", "").split(",") if v)
     if name in _BOOL_FIELDS:
         if isinstance(raw, bool):
             return raw
@@ -125,17 +123,18 @@ def _coerce(name: str, raw: str):
         if str(raw).lower() in ("0", "false", "no"):
             return False
         raise ConfigError(f"{name} must be a boolean, got {raw!r}")
-    if name == "patience":
-        if raw is None or str(raw).lower() in ("none", "off"):
-            return None
-        return int(raw)
+    if name == "patience" and (raw is None or str(raw).lower() in ("none", "off")):
+        return None
     default = fields[name].default
-    if isinstance(default, bool):
-        return bool(raw)
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
+    try:
+        if name in _INT_TUPLE_FIELDS:
+            return tuple(int(v) for v in str(raw).replace(" ", "").split(",") if v)
+        if isinstance(default, int):
+            return int(raw)
+        if isinstance(default, float):
+            return float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: cannot read {raw!r} ({exc})") from exc
     return str(raw)
 
 
@@ -188,15 +187,13 @@ def _dataset_name(config: RunConfig) -> str:
     return f"{Path(config.target).name}+{Path(config.source).name}"
 
 
-def _load_aligned(config: RunConfig) -> dataio.CrossDomainDataset:
+def _load_split(config: RunConfig) -> dataio.LooSplit:
+    """Align the two interaction files and split them, or load the frozen split."""
     if not config.target or not config.source:
         raise ConfigError("this command needs --target and --source interaction files")
     target = dataio.load_interactions(config.target, config.min_user_interactions)
     source = dataio.load_interactions(config.source, min_user_interactions=1)
-    return dataio.align_domains(target, source)
-
-
-def _build_split(config: RunConfig, data: dataio.CrossDomainDataset) -> dataio.LooSplit:
+    data = dataio.align_domains(target, source)
     if config.split:
         return dataio.load_split_manifest(data, config.split)
     return dataio.loo_split(data, derive_rng(config.seed, "split"))
@@ -240,19 +237,13 @@ def cmd_train(config: RunConfig) -> int:
     out_dir = resolve_out_dir(config, "train")
     model_config = config.model_config()
     train_config = config.train_config()
-    data = _load_aligned(config)
+    split = _load_split(config)
     if model_config.architecture == "mlp":
         print("note: architecture mlp ignores the source domain during training",
               file=sys.stderr)
-    split = _build_split(config, data)
     dataio.save_split_manifest(split, out_dir / "split.json")
 
-    sizes = DomainSizes(
-        num_users=split.train.num_users,
-        num_items_target=split.train.target.num_items,
-        num_items_source=split.train.source.num_items,
-    )
-    model = build_model(model_config, sizes, train_config.seed)
+    model = build_model(model_config, DomainSizes.from_split(split), train_config.seed)
     trainer = Trainer(model, split, train_config)
     stats = trainer.fit()
     ckpt.save_checkpoint(model, out_dir / "model.ckpt")
@@ -262,7 +253,7 @@ def cmd_train(config: RunConfig) -> int:
 
     summary = {"architecture": config.architecture, "dataset": _dataset_name(config),
                "epochs_trained": len(stats)}
-    if stats and split.test:
+    if stats and split.validation:
         best = max(stats, key=lambda st: st.val_ndcg)
         summary.update({
             "best_epoch": best.epoch,
@@ -301,8 +292,7 @@ def cmd_evaluate(config: RunConfig, checkpoint_path: str, partition: str) -> int
     if not config.split:
         raise ConfigError("evaluate needs --split (the frozen split manifest)")
     out_dir = resolve_out_dir(config, "evaluate")
-    data = _load_aligned(config)
-    split = _build_split(config, data)
+    split = _load_split(config)
     model = ckpt.load_checkpoint(checkpoint_path)
     _check_compat(model, split)
     report = evaluate(make_scorer(model, split), split, partition=partition,
@@ -316,65 +306,36 @@ def cmd_evaluate(config: RunConfig, checkpoint_path: str, partition: str) -> int
     return 0
 
 
-def _write_study(config: RunConfig, out_dir: Path, report) -> None:
+def _run_study(config: RunConfig, command: str, study, arms, **kwargs) -> int:
+    """Run one study driver over the run's split and write ``study.json``."""
+    out_dir = resolve_out_dir(config, command)
+    report = study(_load_split(config), arms, config.base_model_config(),
+                   config.train_config(), workers=config.workers, **kwargs)
     write_json(out_dir / "study.json", report.to_jsonable())
     _echo_config(config, out_dir)
     print(report.format_table())
     if report.summary:
         print(json.dumps(report.summary))
+    return 0
 
 
 def cmd_compare(config: RunConfig, archs, baseline) -> int:
     if not archs:
         raise ConfigError("compare needs --archs, e.g. --archs mlp,conet")
-    out_dir = resolve_out_dir(config, "compare")
-    data = _load_aligned(config)
-    split = _build_split(config, data)
-    base = dataclasses.replace(
-        studies.ModelConfig(),
-        embedding_dim=config.embedding_dim,
-        hidden_widths=tuple(config.hidden_widths),
-        lasso_lambda=config.lasso_lambda,
-    )
-    report = studies.compare_architectures(split, archs, base, config.train_config(),
-                                           baseline=baseline, workers=config.workers)
-    _write_study(config, out_dir, report)
-    return 0
+    return _run_study(config, "compare", studies.compare_architectures, archs,
+                      baseline=baseline)
 
 
 def cmd_lambda_sweep(config: RunConfig, lambdas) -> int:
     if not lambdas:
         raise ConfigError("lambda-sweep needs --lambdas, e.g. --lambdas 0,0.1,1,10")
-    out_dir = resolve_out_dir(config, "lambda-sweep")
-    data = _load_aligned(config)
-    split = _build_split(config, data)
-    base = dataclasses.replace(
-        studies.ModelConfig(),
-        embedding_dim=config.embedding_dim,
-        hidden_widths=tuple(config.hidden_widths),
-    )
-    report = studies.lambda_sweep(split, lambdas, base, config.train_config(),
-                                  workers=config.workers)
-    _write_study(config, out_dir, report)
-    return 0
+    return _run_study(config, "lambda-sweep", studies.lambda_sweep, lambdas)
 
 
 def cmd_reduce_study(config: RunConfig, levels) -> int:
     if levels is None or not len(levels):
         raise ConfigError("reduce-study needs --levels, e.g. --levels 0,1,2")
-    out_dir = resolve_out_dir(config, "reduce-study")
-    data = _load_aligned(config)
-    split = _build_split(config, data)
-    base = dataclasses.replace(
-        studies.ModelConfig(),
-        embedding_dim=config.embedding_dim,
-        hidden_widths=tuple(config.hidden_widths),
-        lasso_lambda=config.lasso_lambda,
-    )
-    report = studies.reduce_study(split, levels, base, config.train_config(),
-                                  workers=config.workers)
-    _write_study(config, out_dir, report)
-    return 0
+    return _run_study(config, "reduce-study", studies.reduce_study, levels)
 
 
 def cmd_sparsity_report(config: RunConfig, checkpoint_path, history_path) -> int:
@@ -389,13 +350,16 @@ def cmd_sparsity_report(config: RunConfig, checkpoint_path, history_path) -> int
         series = []
         try:
             lines = Path(history_path).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read history {history_path}: {exc}") from exc
-        for line in lines:
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            entry = json.loads(line)
-            series.append({"epoch": entry["epoch"], "h_zero_ratios": entry["h_zero_ratios"]})
+            try:
+                entry = EpochStats.from_json_line(line)
+            except DataError as exc:
+                raise DataError(f"{history_path}:{lineno}: {exc}") from exc
+            series.append({"epoch": entry.epoch, "h_zero_ratios": entry.h_zero_ratios})
         if series and not any(s["h_zero_ratios"] for s in series):
             raise ConfigError("history has no transfer-matrix sparsity series "
                               "(architecture without cross connections)")

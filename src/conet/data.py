@@ -23,7 +23,6 @@ __all__ = [
     "InteractionDataset",
     "CrossDomainDataset",
     "LooSplit",
-    "TrainingExample",
     "Batch",
     "SyntheticConfig",
     "ReductionResult",
@@ -80,11 +79,6 @@ class InteractionDataset:
     def items_of(self, user: int) -> np.ndarray:
         return self.adjacency[user]
 
-    def has(self, user: int, item: int) -> bool:
-        a = self.adjacency[user]
-        pos = np.searchsorted(a, item)
-        return pos < a.size and a[pos] == item
-
     def pairs(self) -> np.ndarray:
         """All (user, item) pairs, user-major, items ascending. Shape (N, 2)."""
         chunks = [
@@ -95,13 +89,6 @@ class InteractionDataset:
         if not chunks:
             return np.empty((0, 2), dtype=np.int64)
         return np.concatenate(chunks, axis=0)
-
-    def same_interactions(self, other: "InteractionDataset") -> bool:
-        if self.num_users != other.num_users or self.num_items != other.num_items:
-            return False
-        return all(
-            np.array_equal(a, b) for a, b in zip(self.adjacency, other.adjacency)
-        )
 
 
 @dataclass
@@ -135,18 +122,6 @@ class LooSplit:
     validation: dict
     eval_negatives: dict
 
-    @property
-    def evaluated_users(self) -> list:
-        return sorted(self.test)
-
-
-@dataclass(frozen=True)
-class TrainingExample:
-    user: int
-    item: int
-    label: int
-    domain: str
-
 
 @dataclass
 class Batch:
@@ -159,12 +134,6 @@ class Batch:
 
     def __len__(self):
         return self.users.size
-
-    def to_examples(self) -> list:
-        return [
-            TrainingExample(int(u), int(i), int(l), self.domain)
-            for u, i, l in zip(self.users, self.items, self.labels)
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -607,39 +576,87 @@ def save_split_manifest(split: LooSplit, path) -> None:
         fh.write("\n")
 
 
+_MANIFEST_KEYS = ("num_users", "num_items_target", "num_items_source",
+                  "test", "validation", "eval_negatives")
+
+
+def _int_matrix(rows: list, cols: int, what: str) -> np.ndarray:
+    # One integer row per evaluated user, checked without a Python loop
+    # over the entries.
+    try:
+        arr = np.asarray(rows) if rows else np.empty((0, cols), dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"split manifest: {what} ({exc})") from exc
+    if arr.shape != (len(rows), cols) or arr.dtype.kind != "i":
+        raise DataError(f"split manifest: {what}")
+    return arr.astype(np.int64)
+
+
+def _reject_rows(bad: np.ndarray, users: np.ndarray, problem: str) -> None:
+    rows = np.flatnonzero(bad.any(axis=1))
+    if rows.size:
+        raise DataError(f"split manifest: user {int(users[rows[0]])} {problem}")
+
+
 def load_split_manifest(data: CrossDomainDataset, path) -> LooSplit:
     """Rebuild a LooSplit from a manifest against the full dataset.
 
-    Validates that the held-out items are real interactions and that no
-    negative was ever interacted with by its user.
+    The manifest is checked in full before anything is scored: every key
+    is present, the evaluated users are in range, each holds out two
+    distinct items it really interacted with, and each has exactly 99
+    distinct in-range negatives it never interacted with.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest["num_users"] != data.num_users:
-        raise DataError("split manifest user count does not match the dataset")
-    if manifest["num_items_target"] != data.target.num_items:
-        raise DataError("split manifest target item count does not match the dataset")
-    if manifest["num_items_source"] != data.source.num_items:
-        raise DataError("split manifest source item count does not match the dataset")
-    test = {int(u): int(i) for u, i in manifest["test"].items()}
-    validation = {int(u): int(i) for u, i in manifest["validation"].items()}
-    negatives = {int(u): np.asarray(v, dtype=np.int64) for u, v in manifest["eval_negatives"].items()}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:
+        raise DataError(f"{path}: split manifest is not valid JSON ({exc})") from exc
+    missing = [key for key in _MANIFEST_KEYS if not isinstance(manifest, dict) or key not in manifest]
+    if missing:
+        raise DataError(f"{path}: split manifest lacks {', '.join(missing)}")
+    for key, size in (("num_users", data.num_users), ("num_items_target", data.target.num_items),
+                      ("num_items_source", data.source.num_items)):
+        if manifest[key] != size:
+            raise DataError(f"split manifest {key} {manifest[key]!r} does not match the dataset")
+    try:
+        test, validation, negatives = (
+            {int(u): v for u, v in manifest[key].items()}
+            for key in ("test", "validation", "eval_negatives"))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: split manifest partitions must map user indices ({exc})") from exc
     if set(test) != set(validation) or set(test) != set(negatives):
         raise DataError("split manifest partitions cover different users")
+    users = np.asarray(sorted(test), dtype=np.int64)
+    if users.size and (users[0] < 0 or users[-1] >= data.num_users):
+        raise DataError(f"split manifest evaluates users outside 0..{data.num_users - 1}")
+    held = _int_matrix([[test[u], validation[u]] for u in users.tolist()], 2,
+                       "held-out items must be integers")
+    neg = _int_matrix([negatives[u] for u in users.tolist()], NUM_EVAL_NEGATIVES,
+                      f"each evaluated user needs a list of {NUM_EVAL_NEGATIVES} integer negatives")
+
+    n = data.target.num_items
+    _reject_rows((held < 0) | (held >= n), users, f"holds out an item outside 0..{n - 1}")
+    _reject_rows(held[:, :1] == held[:, 1:], users, "holds out the same item twice")
+    _reject_rows((neg < 0) | (neg >= n), users, f"has a negative outside 0..{n - 1}")
+    ordered = np.sort(neg, axis=1)
+    _reject_rows(ordered[:, 1:] == ordered[:, :-1], users, "repeats a negative")
+    # Adjacency is sorted per user, so the user-major keys come out sorted;
+    # the closing sentinel exceeds every query, keeping lookups in range.
+    adjacency = data.target.adjacency
+    degrees = np.fromiter((a.size for a in adjacency), dtype=np.int64, count=len(adjacency))
+    keys = np.append(np.repeat(np.arange(data.num_users, dtype=np.int64), degrees) * n
+                     + np.concatenate(adjacency), data.num_users * n)
+    query = users[:, None] * n + neg
+    _reject_rows(keys[np.searchsorted(keys, query)] == query, users,
+                 "has a negative it interacted with")
+
+    held_items = dict(zip(users.tolist(), held.tolist()))
     train_adj = []
-    for u in range(data.num_users):
-        items = data.target.items_of(u)
-        if u not in test:
-            train_adj.append(items.copy())
-            continue
-        held = {test[u], validation[u]}
-        if len(held) != 2 or not all(data.target.has(u, i) for i in held):
-            raise DataError(f"split manifest holds out invalid items for user {u}")
-        if negatives[u].size != NUM_EVAL_NEGATIVES:
-            raise DataError(f"user {u} must have exactly {NUM_EVAL_NEGATIVES} negatives")
-        if any(data.target.has(u, int(j)) for j in negatives[u]):
-            raise DataError(f"split manifest negative was interacted by user {u}")
-        train_adj.append(np.asarray([i for i in items if int(i) not in held], dtype=np.int64))
+    for u, items in enumerate(adjacency):
+        t, v = held_items.get(u, (-1, -1))
+        train_adj.append(items[(items != t) & (items != v)])
+        if u in held_items and train_adj[-1].size != items.size - 2:
+            raise DataError(f"split manifest: user {u} holds out an item it never interacted with")
     train_target = InteractionDataset(
         num_users=data.num_users,
         num_items=data.target.num_items,
@@ -648,4 +665,9 @@ def load_split_manifest(data: CrossDomainDataset, path) -> LooSplit:
         item_ids=data.target.item_ids,
     )
     train = CrossDomainDataset(target=train_target, source=data.source)
-    return LooSplit(train=train, test=test, validation=validation, eval_negatives=negatives)
+    return LooSplit(
+        train=train,
+        test={u: t for u, (t, _) in held_items.items()},
+        validation={u: v for u, (_, v) in held_items.items()},
+        eval_negatives=dict(zip(users.tolist(), neg)),
+    )

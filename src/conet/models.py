@@ -1,18 +1,25 @@
 """Model architectures: base MLP, MLP++, cross-stitch and cross-connection nets.
 
-All four models share the same skeleton: a user embedding and an item
-embedding are concatenated and pushed through a tower of ReLU layers to a
-logistic output. They differ in how the two domain towers talk to each
-other:
+Every architecture is one :class:`Model`: a target tower, for all but
+``mlp`` a source tower over the same users, and a coupling step at each
+hidden transition. A tower concatenates a user embedding and an item
+embedding and pushes them through ReLU layers to a logistic output. The
+architectures differ only in the towers present and in the coupling:
 
-* ``mlp``    one tower, one domain, no transfer;
-* ``mlp++``  two towers coupled only through the shared user embedding;
-* ``csn``    activations are mixed between towers with scalar weights
-             before each hidden layer, which forces equal layer widths;
-* ``conet``  each hidden transition adds a learned transfer matrix ``H``
-             carrying the other tower's activations, the same matrix in
-             both directions. With an L1 penalty on ``H`` this is the
-             sparse variant.
+* ``mlp``    the target tower alone, no coupling;
+* ``mlp++``  both towers, coupled only through the shared user embedding;
+* ``csn``    cross-stitch coupling: activations are mixed between towers
+             with a scalar pair ``alpha_k`` before each hidden layer, which
+             forces equal layer widths;
+* ``conet``  cross connections: each hidden transition adds a learned
+             transfer matrix ``H_k`` carrying the other tower's activations,
+             the same matrix in both directions. With an L1 penalty on
+             ``H`` this is the sparse variant.
+
+Since the towers and the layer arithmetic are shared, the ablation
+identities hold by construction: ``conet`` with every ``H_k`` at zero
+computes ``mlp++``, and ``mlp++`` with two user embeddings computes two
+independent ``mlp`` towers.
 
 Parameters live in a flat ``dict[str, np.ndarray]`` so the optimizer,
 the checkpoint format and the gradient checks can treat every model
@@ -22,7 +29,6 @@ uniformly. Gradients are hand-derived per layer; there is no autodiff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,17 +39,16 @@ __all__ = [
     "ARCHITECTURES",
     "ModelConfig",
     "DomainSizes",
-    "MlpModel",
-    "DualTowerModel",
-    "BatchTrace",
-    "MlpTrace",
+    "Model",
+    "Trace",
     "build_model",
-    "embed_lookup",
-    "cross_unit",
     "lasso_penalty",
 ]
 
 ARCHITECTURES = ("mlp", "mlp++", "csn", "conet")
+
+# Coupling step at each hidden transition, per architecture.
+_COUPLING = {"mlp": None, "mlp++": None, "csn": "stitch", "conet": "cross"}
 
 
 @dataclass(frozen=True)
@@ -101,36 +106,11 @@ class DomainSizes:
     num_items_target: int
     num_items_source: int = 0
 
-
-def embed_lookup(p: np.ndarray, q: np.ndarray, user: int, item: int) -> np.ndarray:
-    """Concatenate user row of ``p`` and item row of ``q`` (length 2d)."""
-    if not 0 <= user < p.shape[0]:
-        raise IndexError(f"user index {user} out of range 0..{p.shape[0] - 1}")
-    if not 0 <= item < q.shape[0]:
-        raise IndexError(f"item index {item} out of range 0..{q.shape[0] - 1}")
-    return np.concatenate([p[user], q[item]])
-
-
-def cross_unit(w_t, b_t, w_s, b_s, h, a_t, a_s):
-    """Coupled pre-activations of one cross-connection transition.
-
-    Returns ``(w_t @ a_t + b_t + h @ a_s, w_s @ a_s + b_s + h @ a_t)``.
-    The same transfer matrix ``h`` carries information in both directions;
-    no nonlinearity is applied here.
-    """
-    if a_t.shape != a_s.shape:
-        raise ConfigError("cross_unit: the two activations must have the same length")
-    if h.shape[1] != a_s.shape[0]:
-        raise ConfigError(f"cross_unit: H has {h.shape[1]} columns but activations have length {a_s.shape[0]}")
-    if not (h.shape[0] == w_t.shape[0] == w_s.shape[0]):
-        raise ConfigError("cross_unit: H and both weight matrices must have the same row count")
-    if w_t.shape[1] != a_t.shape[0] or w_s.shape[1] != a_s.shape[0]:
-        raise ConfigError("cross_unit: weight matrix columns must match the activation length")
-    if b_t.shape[0] != w_t.shape[0] or b_s.shape[0] != w_s.shape[0]:
-        raise ConfigError("cross_unit: bias length must match the weight matrix rows")
-    pre_t = w_t @ a_t + b_t + h @ a_s
-    pre_s = w_s @ a_s + b_s + h @ a_t
-    return pre_t, pre_s
+    @classmethod
+    def from_split(cls, split) -> "DomainSizes":
+        """Table sizes of the train part of a leave-one-out split."""
+        return cls(split.train.num_users, split.train.target.num_items,
+                   split.train.source.num_items)
 
 
 def lasso_penalty(h_matrices, lam: float) -> float:
@@ -140,6 +120,62 @@ def lasso_penalty(h_matrices, lam: float) -> float:
     if lam == 0.0:
         return 0.0
     return lam * float(sum(np.abs(h).sum() for h in h_matrices))
+
+
+# ---------------------------------------------------------------------------
+# Towers and parameter layout
+
+
+@dataclass(frozen=True)
+class _Tower:
+    """Parameter names of one tower, hidden layers in order."""
+
+    domain: str
+    user: str
+    items: str
+    weights: tuple
+    biases: tuple
+    out: str
+
+
+def _towers(config: ModelConfig) -> tuple:
+    depth = range(len(config.hidden_widths))
+
+    def tower(domain, user, items, prefix):
+        return _Tower(domain, user, items, tuple(f"W_{prefix}{k}" for k in depth),
+                      tuple(f"b_{prefix}{k}" for k in depth),
+                      f"h_{prefix[:-1]}" if prefix else "h")
+
+    # mlp keeps the unprefixed names P, Q, W_k, b_k, h of the checkpoint format.
+    if config.architecture == "mlp":
+        return (tower("target", "P", "Q", ""),)
+    source_user = "P" if config.share_user_embedding else "P_src"
+    return (tower("target", "P", "Q_t", "t_"), tower("source", source_user, "Q_s", "s_"))
+
+
+def _coupling_names(config: ModelConfig) -> list:
+    coupling = _COUPLING[config.architecture]
+    tag = {"cross": "H", "stitch": "alpha"}.get(coupling)
+    return [f"{tag}_{k}" for k in range(config.num_transfer_matrices)] if tag else []
+
+
+def _param_shapes(config: ModelConfig, sizes: DomainSizes) -> dict:
+    d = config.embedding_dim
+    widths = config.hidden_widths
+    towers = _towers(config)
+    shapes = {tower.user: (sizes.num_users, d) for tower in towers}
+    for tower in towers:
+        num_items = sizes.num_items_target if tower.domain == "target" else sizes.num_items_source
+        shapes[tower.items] = (num_items, d)
+    for tower in towers:
+        for weight, bias, w, fan_in in zip(tower.weights, tower.biases, widths,
+                                           (2 * d,) + tuple(widths[:-1])):
+            shapes[weight] = (w, fan_in)
+            shapes[bias] = (w,)
+        shapes[tower.out] = (widths[-1],)
+    for k, name in enumerate(_coupling_names(config)):
+        shapes[name] = (widths[k + 1], widths[k]) if name.startswith("H_") else (2,)
+    return shapes
 
 
 # ---------------------------------------------------------------------------
@@ -156,39 +192,39 @@ def _draw_matrix(rng, rows, cols):
     return rng.normal(0.0, INIT_STD, size=(rows, cols))
 
 
-def _init_tower(params, prefix, in_dim, widths, rng):
-    # Draw order is fixed: one weight matrix per layer, output weight last.
-    prev = in_dim
-    for k, w in enumerate(widths):
-        params[f"W_{prefix}{k}"] = rng.normal(0.0, np.sqrt(2.0 / prev), size=(w, prev))
-        params[f"b_{prefix}{k}"] = np.zeros(w)
-        prev = w
-    h_name = f"h_{prefix[:-1]}" if prefix else "h"
-    params[h_name] = rng.normal(0.0, np.sqrt(1.0 / widths[-1]), size=widths[-1])
+def build_model(config: ModelConfig, sizes: DomainSizes, seed: int) -> "Model":
+    """Initialise a model of the configured architecture.
 
-
-def _tower_names(prefix, num_layers):
-    names = []
-    for k in range(num_layers):
-        names.append(f"W_{prefix}{k}")
-        names.append(f"b_{prefix}{k}")
-    names.append(f"h_{prefix[:-1]}" if prefix else "h")
-    return names
-
-
-def _check_tower_shapes(params, prefix, in_dim, widths):
-    prev = in_dim
-    for k, w in enumerate(widths):
-        wk = params[f"W_{prefix}{k}"]
-        bk = params[f"b_{prefix}{k}"]
-        if wk.shape != (w, prev):
-            raise ConfigError(f"W_{prefix}{k} must have shape {(w, prev)}, got {wk.shape}")
-        if bk.shape != (w,):
-            raise ConfigError(f"b_{prefix}{k} must have shape {(w,)}, got {bk.shape}")
-        prev = w
-    h = params[f"h_{prefix[:-1]}" if prefix else "h"]
-    if h.shape != (widths[-1],):
-        raise ConfigError(f"output weight for tower {prefix or 'main'} must have length {widths[-1]}")
+    Every tensor family draws from its own named stream, so the target
+    tower of every architecture starts from the same values.
+    """
+    config.validate()
+    shapes = _param_shapes(config, sizes)
+    towers = _towers(config)
+    # Tensors are created in the order of ``shapes``: user tables, item
+    # tables, towers, coupling.
+    params: dict = {}
+    for name in dict.fromkeys(tower.user for tower in towers):
+        params[name] = _draw_matrix(derive_rng(seed, "init", name), *shapes[name])
+    for tower in towers:
+        params[tower.items] = _draw_matrix(derive_rng(seed, "init", f"Q_{tower.domain[0]}"),
+                                           *shapes[tower.items])
+    for tower in towers:
+        # Draw order is fixed: one weight matrix per layer, output weight last.
+        rng = derive_rng(seed, "init", f"tower_{tower.domain[0]}")
+        for weight, bias in zip(tower.weights, tower.biases):
+            rows, fan_in = shapes[weight]
+            params[weight] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(rows, fan_in))
+            params[bias] = np.zeros(rows)
+        width = shapes[tower.out][0]
+        params[tower.out] = rng.normal(0.0, np.sqrt(1.0 / width), size=width)
+    rng = derive_rng(seed, "init", "H")
+    for name in _coupling_names(config):
+        if name.startswith("H_"):
+            params[name] = _draw_matrix(rng, *shapes[name])
+        else:
+            params[name] = np.asarray(config.csn_alpha_init, dtype=np.float64)
+    return Model(config, sizes, params)
 
 
 def _merge_embeddings(p, q, users, items):
@@ -201,252 +237,63 @@ def _merge_embeddings(p, q, users, items):
     return np.concatenate([p[users], item_part], axis=1)
 
 
-# ---------------------------------------------------------------------------
-# Traces
-
-
-@dataclass
-class MlpTrace:
-    """Intermediates of one single-tower forward pass, enough for backprop."""
-
-    users: np.ndarray
-    items: np.ndarray
-    x: np.ndarray
-    pres: list
-    acts: list
-    logits: np.ndarray
-    probs: np.ndarray
-
-
-@dataclass
-class BatchTrace:
-    """Intermediates of one coupled forward pass over both towers."""
-
-    users: np.ndarray
-    items_target: np.ndarray
-    items_source: np.ndarray
-    x_t: np.ndarray
-    x_s: np.ndarray
-    pres_t: list
-    pres_s: list
-    acts_t: list
-    acts_s: list
-    mixed_t: Optional[list]
-    mixed_s: Optional[list]
-    logits_t: np.ndarray
-    logits_s: np.ndarray
-    probs_t: np.ndarray
-    probs_s: np.ndarray
-
-
 def _as_index_array(v) -> np.ndarray:
     return np.atleast_1d(np.asarray(v, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
-# Single-tower model
+# The model
 
 
-class MlpModel:
-    """Base network: one domain, embeddings plus a ReLU tower."""
+@dataclass
+class Trace:
+    """Intermediates of one forward pass, enough for backprop.
 
-    architecture = "mlp"
-    dual = False
-
-    def __init__(self, config: ModelConfig, sizes: DomainSizes, params: dict):
-        config.validate()
-        self.config = config
-        self.sizes = sizes
-        self.params = params
-        self._validate_shapes()
-
-    @classmethod
-    def initialize(cls, config: ModelConfig, sizes: DomainSizes, seed: int) -> "MlpModel":
-        params: dict = {}
-        d = config.embedding_dim
-        params["P"] = _draw_matrix(derive_rng(seed, "init", "P"), sizes.num_users, d)
-        params["Q"] = _draw_matrix(derive_rng(seed, "init", "Q_t"), sizes.num_items_target, d)
-        _init_tower(params, "", 2 * d, config.hidden_widths, derive_rng(seed, "init", "tower_t"))
-        return cls(config, sizes, params)
-
-    def _validate_shapes(self):
-        d = self.config.embedding_dim
-        expected = {"P", "Q"} | set(_tower_names("", len(self.config.hidden_widths)))
-        if set(self.params) != expected:
-            raise ConfigError(f"mlp parameter set mismatch: {sorted(set(self.params) ^ expected)}")
-        if self.params["P"].shape != (self.sizes.num_users, d):
-            raise ConfigError("P shape does not match the user count and embedding dim")
-        if self.params["Q"].shape != (self.sizes.num_items_target, d):
-            raise ConfigError("Q shape does not match the item count and embedding dim")
-        _check_tower_shapes(self.params, "", 2 * d, self.config.hidden_widths)
-
-    def update_group(self, domain: str):
-        if domain != "target":
-            raise ConfigError("mlp trains on the target domain only")
-        return tuple(sorted(self.params))
-
-    def transfer_matrices(self) -> list:
-        return []
-
-    def forward_batch(self, users, items) -> MlpTrace:
-        users = _as_index_array(users)
-        items = _as_index_array(items)
-        p = self.params
-        x = _merge_embeddings(p["P"], p["Q"], users, items)
-        pres, acts = [], []
-        a = x
-        for k in range(len(self.config.hidden_widths)):
-            pre = a @ p[f"W_{k}"].T + p[f"b_{k}"]
-            a = np.maximum(pre, 0.0)
-            pres.append(pre)
-            acts.append(a)
-        logits = acts[-1] @ p["h"]
-        return MlpTrace(users=users, items=items, x=x, pres=pres, acts=acts,
-                        logits=logits, probs=sigmoid(logits))
-
-    def forward_one(self, user: int, item: int):
-        trace = self.forward_batch([user], [item])
-        return float(trace.probs[0]), trace
-
-    def backward_batch(self, trace: MlpTrace, labels, wanted=None) -> dict:
-        """Gradients of the summed cross-entropy loss over the batch."""
-        want = set(self.params) if wanted is None else set(wanted)
-        grads = {name: np.zeros_like(self.params[name]) for name in want}
-        labels = np.asarray(labels, dtype=np.float64)
-        p = self.params
-        d_logit = trace.probs - labels
-        _single_tower_backward(
-            grads, p, "", trace.x, trace.pres, trace.acts, d_logit,
-            trace.users, trace.items, "P", "Q", self.config.embedding_dim, want,
-        )
-        return grads
-
-    def score_items(self, user: int, items, source_item: int = -1) -> np.ndarray:
-        items = _as_index_array(items)
-        users = np.full(items.size, user, dtype=np.int64)
-        return self.forward_batch(users, items).probs
-
-
-def _single_tower_backward(grads, params, prefix, x, pres, acts, d_logit,
-                           users, items, name_p, name_q, d, want):
-    # Standard chain rule down one tower; the caller seeds d_logit with
-    # (prob - label) per example.
-    h_name = f"h_{prefix[:-1]}" if prefix else "h"
-    if h_name in want:
-        grads[h_name] += d_logit @ acts[-1]
-    d_a = d_logit[:, None] * params[h_name][None, :]
-    for k in range(len(pres) - 1, 0, -1):
-        d_pre = d_a * (pres[k] > 0)
-        if f"W_{prefix}{k}" in want:
-            grads[f"W_{prefix}{k}"] += d_pre.T @ acts[k - 1]
-        if f"b_{prefix}{k}" in want:
-            grads[f"b_{prefix}{k}"] += d_pre.sum(axis=0)
-        d_a = d_pre @ params[f"W_{prefix}{k}"]
-    d_pre = d_a * (pres[0] > 0)
-    if f"W_{prefix}0" in want:
-        grads[f"W_{prefix}0"] += d_pre.T @ x
-    if f"b_{prefix}0" in want:
-        grads[f"b_{prefix}0"] += d_pre.sum(axis=0)
-    if name_p in want or name_q in want:
-        d_x = d_pre @ params[f"W_{prefix}0"]
-        if name_p in want:
-            np.add.at(grads[name_p], users, d_x[:, :d])
-        if name_q in want:
-            valid = items >= 0
-            if valid.any():
-                np.add.at(grads[name_q], items[valid], d_x[valid, d:])
-
-
-# ---------------------------------------------------------------------------
-# Dual-tower models (mlp++, csn, conet)
-
-
-class DualTowerModel:
-    """Two base networks over a shared user set, coupled per architecture.
-
-    The coupling mode follows the architecture: ``mlp++`` has none (only
-    the shared user embedding ties the towers), ``csn`` mixes activations
-    with per-transition scalar pairs, ``conet`` adds transfer-matrix
-    cross connections inside each hidden transition.
+    ``items``, ``logits`` and ``probs`` hold one entry per tower, target
+    first; ``inputs``, ``pres`` and ``acts`` hold one such list per hidden
+    layer. ``inputs[k][i]`` is what layer ``k`` of tower ``i`` multiplies:
+    the merged embedding for ``k = 0``, else the coupled activations of
+    layer ``k - 1``.
     """
 
-    dual = True
+    users: np.ndarray
+    items: list
+    inputs: list
+    pres: list
+    acts: list
+    logits: list
+    probs: list
+
+
+class Model:
+    """Target tower, optional source tower, and a coupling step per transition."""
 
     def __init__(self, config: ModelConfig, sizes: DomainSizes, params: dict):
         config.validate()
-        if config.architecture == "mlp":
-            raise ConfigError("use MlpModel for the single-tower architecture")
-        if sizes.num_items_source < 1:
-            raise ConfigError("dual-tower models need a source domain")
         self.config = config
         self.sizes = sizes
         self.params = params
         self.architecture = config.architecture
-        self._frozen_cross = False
-        self._validate_shapes()
+        self.towers = _towers(config)
+        self.domains = tuple(t.domain for t in self.towers)
+        self.coupling = _COUPLING[config.architecture]
+        self.coupling_names = _coupling_names(config)
+        self.frozen_cross = False
+        if min(sizes.num_users, sizes.num_items_target) < 1 or (
+                self.dual and sizes.num_items_source < 1):
+            raise ConfigError(f"{self.architecture} needs at least one user and one item "
+                              f"in each of its domains {self.domains}")
+        expected = _param_shapes(config, sizes)
+        if set(params) != set(expected):
+            raise ConfigError(f"{self.architecture} parameter set mismatch: "
+                              f"{sorted(set(params) ^ set(expected))}")
+        for name, shape in expected.items():
+            if params[name].shape != shape:
+                raise ConfigError(f"{name} must have shape {shape}, got {params[name].shape}")
 
-    # -- construction
-
-    @classmethod
-    def initialize(cls, config: ModelConfig, sizes: DomainSizes, seed: int) -> "DualTowerModel":
-        config.validate()
-        params: dict = {}
-        d = config.embedding_dim
-        widths = config.hidden_widths
-        params["P"] = _draw_matrix(derive_rng(seed, "init", "P"), sizes.num_users, d)
-        if config.architecture == "mlp++" and not config.share_user_embedding:
-            params["P_src"] = _draw_matrix(derive_rng(seed, "init", "P_src"), sizes.num_users, d)
-        params["Q_t"] = _draw_matrix(derive_rng(seed, "init", "Q_t"), sizes.num_items_target, d)
-        params["Q_s"] = _draw_matrix(derive_rng(seed, "init", "Q_s"), sizes.num_items_source, d)
-        _init_tower(params, "t_", 2 * d, widths, derive_rng(seed, "init", "tower_t"))
-        _init_tower(params, "s_", 2 * d, widths, derive_rng(seed, "init", "tower_s"))
-        if config.architecture == "conet":
-            rng = derive_rng(seed, "init", "H")
-            for k in range(len(widths) - 1):
-                params[f"H_{k}"] = _draw_matrix(rng, widths[k + 1], widths[k])
-        if config.architecture == "csn":
-            for k in range(len(widths) - 1):
-                params[f"alpha_{k}"] = np.asarray(config.csn_alpha_init, dtype=np.float64)
-        return cls(config, sizes, params)
-
-    def _validate_shapes(self):
-        cfg = self.config
-        d = cfg.embedding_dim
-        widths = cfg.hidden_widths
-        expected = {"P", "Q_t", "Q_s"}
-        expected |= set(_tower_names("t_", len(widths)))
-        expected |= set(_tower_names("s_", len(widths)))
-        if cfg.architecture == "mlp++" and not cfg.share_user_embedding:
-            expected.add("P_src")
-        if cfg.architecture == "conet":
-            expected |= {f"H_{k}" for k in range(len(widths) - 1)}
-        if cfg.architecture == "csn":
-            expected |= {f"alpha_{k}" for k in range(len(widths) - 1)}
-        if set(self.params) != expected:
-            raise ConfigError(
-                f"{cfg.architecture} parameter set mismatch: {sorted(set(self.params) ^ expected)}"
-            )
-        if self.params["P"].shape != (self.sizes.num_users, d):
-            raise ConfigError("P shape does not match the user count and embedding dim")
-        if "P_src" in self.params and self.params["P_src"].shape != (self.sizes.num_users, d):
-            raise ConfigError("P_src shape does not match the user count and embedding dim")
-        if self.params["Q_t"].shape != (self.sizes.num_items_target, d):
-            raise ConfigError("Q_t shape does not match the target item count")
-        if self.params["Q_s"].shape != (self.sizes.num_items_source, d):
-            raise ConfigError("Q_s shape does not match the source item count")
-        _check_tower_shapes(self.params, "t_", 2 * d, widths)
-        _check_tower_shapes(self.params, "s_", 2 * d, widths)
-        for k in range(len(widths) - 1):
-            if cfg.architecture == "conet":
-                hk = self.params[f"H_{k}"]
-                if hk.shape != (widths[k + 1], widths[k]):
-                    raise ConfigError(
-                        f"H_{k} must map width {widths[k]} to width {widths[k + 1]}, got {hk.shape}"
-                    )
-            if cfg.architecture == "csn":
-                ak = self.params[f"alpha_{k}"]
-                if ak.shape != (2,):
-                    raise ConfigError(f"alpha_{k} must be a (self, transfer) pair")
+    @property
+    def dual(self) -> bool:
+        return len(self.towers) == 2
 
     # -- diagnostics
 
@@ -456,16 +303,16 @@ class DualTowerModel:
         Diagnostic mode: with the cross connections dead the coupled model
         must reduce exactly to two base networks sharing a user embedding.
         """
-        if self.architecture != "conet":
+        if self.coupling != "cross":
             raise ConfigError("only conet has transfer matrices to freeze")
-        for k in range(self.config.num_transfer_matrices):
-            self.params[f"H_{k}"][:] = 0.0
-        self._frozen_cross = True
+        for h in self.transfer_matrices():
+            h[:] = 0.0
+        self.frozen_cross = True
 
     def transfer_matrices(self) -> list:
-        if self.architecture != "conet":
+        if self.coupling != "cross":
             return []
-        return [self.params[f"H_{k}"] for k in range(self.config.num_transfer_matrices)]
+        return [self.params[name] for name in self.coupling_names]
 
     def update_group(self, domain: str):
         """Parameters updated by a batch of the given domain.
@@ -473,204 +320,140 @@ class DualTowerModel:
         Task-specific tensors belong to their own domain; the shared user
         embedding and the coupling parameters move with every batch.
         """
-        if domain not in ("target", "source"):
-            raise ConfigError(f"unknown domain {domain!r}")
-        widths = self.config.hidden_widths
-        names = []
-        if domain == "target":
-            names += ["P", "Q_t"] + _tower_names("t_", len(widths))
-        else:
-            if "P_src" in self.params:
-                names += ["P_src"]
-            else:
-                names += ["P"]
-            names += ["Q_s"] + _tower_names("s_", len(widths))
-        if self.architecture == "conet" and not self._frozen_cross:
-            names += [f"H_{k}" for k in range(len(widths) - 1)]
-        if self.architecture == "csn":
-            names += [f"alpha_{k}" for k in range(len(widths) - 1)]
+        if domain not in self.domains:
+            raise ConfigError(f"{self.architecture} has no {domain!r} domain to train")
+        tower = self.towers[self.domains.index(domain)]
+        names = [tower.user, tower.items, tower.out, *tower.weights, *tower.biases]
+        if not self.frozen_cross:
+            names += self.coupling_names
         return tuple(sorted(names))
 
     # -- forward
 
-    def forward_batch(self, users, items_target, items_source) -> BatchTrace:
-        users = _as_index_array(users)
-        items_t = _as_index_array(items_target)
-        items_s = _as_index_array(items_source)
+    def _transition(self, k: int, acts: list):
+        """Inputs and pre-activations of hidden layer ``k`` from ``acts``.
+
+        ``acts`` holds each tower's merged embedding for ``k = 0`` and its
+        layer ``k - 1`` activations after; the coupling acts on the latter.
+        """
         p = self.params
-        p_src = p.get("P_src", p["P"])
-        x_t = _merge_embeddings(p["P"], p["Q_t"], users, items_t)
-        x_s = _merge_embeddings(p_src, p["Q_s"], users, items_s)
-        widths = self.config.hidden_widths
-        stitch = self.architecture == "csn"
-        cross = self.architecture == "conet"
+        inputs = acts
+        if k and self.coupling == "stitch":
+            keep, transfer = p[self.coupling_names[k - 1]]
+            inputs = [keep * acts[0] + transfer * acts[1], keep * acts[1] + transfer * acts[0]]
+        pres = [a @ p[t.weights[k]].T + p[t.biases[k]] for t, a in zip(self.towers, inputs)]
+        if k and self.coupling == "cross":
+            h = p[self.coupling_names[k - 1]]
+            pres[0] += acts[1] @ h.T
+            pres[1] += acts[0] @ h.T
+        return inputs, pres
 
-        pres_t, pres_s, acts_t, acts_s = [], [], [], []
-        mixed_t = [] if stitch else None
-        mixed_s = [] if stitch else None
-        pre_t = x_t @ p["W_t_0"].T + p["b_t_0"]
-        pre_s = x_s @ p["W_s_0"].T + p["b_s_0"]
-        pres_t.append(pre_t)
-        pres_s.append(pre_s)
-        acts_t.append(np.maximum(pre_t, 0.0))
-        acts_s.append(np.maximum(pre_s, 0.0))
-        for k in range(1, len(widths)):
-            a_t, a_s = acts_t[k - 1], acts_s[k - 1]
-            if cross:
-                h = p[f"H_{k - 1}"]
-                pre_t = a_t @ p[f"W_t_{k}"].T + p[f"b_t_{k}"] + a_s @ h.T
-                pre_s = a_s @ p[f"W_s_{k}"].T + p[f"b_s_{k}"] + a_t @ h.T
-            elif stitch:
-                a_self, a_transfer = p[f"alpha_{k - 1}"]
-                m_t = a_self * a_t + a_transfer * a_s
-                m_s = a_self * a_s + a_transfer * a_t
-                mixed_t.append(m_t)
-                mixed_s.append(m_s)
-                pre_t = m_t @ p[f"W_t_{k}"].T + p[f"b_t_{k}"]
-                pre_s = m_s @ p[f"W_s_{k}"].T + p[f"b_s_{k}"]
-            else:
-                pre_t = a_t @ p[f"W_t_{k}"].T + p[f"b_t_{k}"]
-                pre_s = a_s @ p[f"W_s_{k}"].T + p[f"b_s_{k}"]
-            pres_t.append(pre_t)
-            pres_s.append(pre_s)
-            acts_t.append(np.maximum(pre_t, 0.0))
-            acts_s.append(np.maximum(pre_s, 0.0))
-        logits_t = acts_t[-1] @ p["h_t"]
-        logits_s = acts_s[-1] @ p["h_s"]
-        return BatchTrace(
-            users=users, items_target=items_t, items_source=items_s,
-            x_t=x_t, x_s=x_s, pres_t=pres_t, pres_s=pres_s,
-            acts_t=acts_t, acts_s=acts_s, mixed_t=mixed_t, mixed_s=mixed_s,
-            logits_t=logits_t, logits_s=logits_s,
-            probs_t=sigmoid(logits_t), probs_s=sigmoid(logits_s),
-        )
+    def forward_batch(self, users, items_target, items_source=None) -> Trace:
+        """Forward pass; ``items_source`` pairs a source item with each row.
 
-    def forward_one(self, user: int, item_target: int, item_source: int):
-        trace = self.forward_batch([user], [item_target], [item_source])
-        return float(trace.probs_t[0]), float(trace.probs_s[0]), trace
+        Single-tower models ignore ``items_source``.
+        """
+        users = _as_index_array(users)
+        items = [_as_index_array(v) for v in (items_target, items_source)[: len(self.towers)]]
+        p = self.params
+        acts = [_merge_embeddings(p[t.user], p[t.items], users, it)
+                for t, it in zip(self.towers, items)]
+        trace = Trace(users=users, items=items, inputs=[], pres=[], acts=[], logits=[], probs=[])
+        for k in range(len(self.config.hidden_widths)):
+            inputs, pres = self._transition(k, acts)
+            acts = [np.maximum(pre, 0.0) for pre in pres]
+            trace.inputs.append(inputs)
+            trace.pres.append(pres)
+            trace.acts.append(acts)
+        for t, a in zip(self.towers, acts):
+            logits = a @ p[t.out]
+            trace.logits.append(logits)
+            trace.probs.append(sigmoid(logits))
+        return trace
 
     # -- backward
 
-    def backward_batch(self, trace: BatchTrace, labels_target=None, labels_source=None,
+    def _couple_backward(self, k: int, acts: list, d_pre: list, d_in: list,
+                         grads: dict, want: set) -> list:
+        """Deltas on layer ``k - 1`` activations from layer ``k``'s deltas.
+
+        ``d_in`` holds the deltas on layer ``k``'s inputs, ``acts`` the
+        layer ``k - 1`` activations; coupling gradients land in ``grads``.
+        """
+        p = self.params
+        name = self.coupling_names[k - 1] if self.coupling else None
+        if self.coupling == "cross":
+            if name in want:
+                # Both coupling directions feed the same matrix.
+                grads[name] += d_pre[0].T @ acts[1] + d_pre[1].T @ acts[0]
+            h = p[name]
+            return [d_in[0] + d_pre[1] @ h, d_in[1] + d_pre[0] @ h]
+        if self.coupling == "stitch":
+            if name in want:
+                grads[name] += np.array([
+                    float((d_in[0] * acts[0]).sum() + (d_in[1] * acts[1]).sum()),
+                    float((d_in[0] * acts[1]).sum() + (d_in[1] * acts[0]).sum()),
+                ])
+            keep, transfer = p[name]
+            return [keep * d_in[0] + transfer * d_in[1], keep * d_in[1] + transfer * d_in[0]]
+        return d_in
+
+    def backward_batch(self, trace: Trace, labels_target=None, labels_source=None,
                        wanted=None) -> dict:
         """Gradients of the summed cross-entropy loss of the labelled sides.
 
-        Either side's labels may be absent; with coupling active the
-        deltas still flow through both towers, so the shared user
-        embedding collects contributions from both input paths and every
-        transfer matrix from both coupling directions.
+        Either side's labels may be absent. Coupled towers exchange deltas,
+        so both run and the shared user embedding collects contributions
+        from both input paths and every transfer matrix from both coupling
+        directions; an uncoupled tower runs only when it is labelled.
         """
         want = set(self.params) if wanted is None else set(wanted)
         grads = {name: np.zeros_like(self.params[name]) for name in want}
         p = self.params
         d = self.config.embedding_dim
-        widths = self.config.hidden_widths
-        stitch = self.architecture == "csn"
-        cross = self.architecture == "conet"
-        name_p_src = "P_src" if "P_src" in p else "P"
+        labels = (labels_target, labels_source)[: len(self.towers)]
+        live = [i for i, y in enumerate(labels) if self.coupling or y is not None]
+        towers = [self.towers[i] for i in live]
 
-        if not cross and not stitch:
-            # Towers are independent: run whichever sides are labelled.
-            if labels_target is not None:
-                d_logit = trace.probs_t - np.asarray(labels_target, dtype=np.float64)
-                _single_tower_backward(grads, p, "t_", trace.x_t, trace.pres_t, trace.acts_t,
-                                       d_logit, trace.users, trace.items_target,
-                                       "P", "Q_t", d, want)
-            if labels_source is not None:
-                d_logit = trace.probs_s - np.asarray(labels_source, dtype=np.float64)
-                _single_tower_backward(grads, p, "s_", trace.x_s, trace.pres_s, trace.acts_s,
-                                       d_logit, trace.users, trace.items_source,
-                                       name_p_src, "Q_s", d, want)
-            return grads
+        d_a = []
+        for i, t in zip(live, towers):
+            d_logit = (trace.probs[i] - np.asarray(labels[i], dtype=np.float64)
+                       if labels[i] is not None else np.zeros(trace.users.size))
+            if t.out in want:
+                grads[t.out] += d_logit @ trace.acts[-1][i]
+            d_a.append(d_logit[:, None] * p[t.out][None, :])
 
-        n = trace.users.size
-        d_logit_t = (trace.probs_t - np.asarray(labels_target, dtype=np.float64)
-                     if labels_target is not None else np.zeros(n))
-        d_logit_s = (trace.probs_s - np.asarray(labels_source, dtype=np.float64)
-                     if labels_source is not None else np.zeros(n))
-        if "h_t" in want:
-            grads["h_t"] += d_logit_t @ trace.acts_t[-1]
-        if "h_s" in want:
-            grads["h_s"] += d_logit_s @ trace.acts_s[-1]
-        d_a_t = d_logit_t[:, None] * p["h_t"][None, :]
-        d_a_s = d_logit_s[:, None] * p["h_s"][None, :]
+        for k in range(len(self.config.hidden_widths) - 1, -1, -1):
+            pres, inputs = trace.pres[k], trace.inputs[k]
+            d_pre = [g * (pres[i] > 0) for i, g in zip(live, d_a)]
+            for i, t, g in zip(live, towers, d_pre):
+                if t.weights[k] in want:
+                    grads[t.weights[k]] += g.T @ inputs[i]
+                if t.biases[k] in want:
+                    grads[t.biases[k]] += g.sum(axis=0)
+            if k == 0:
+                break
+            d_in = [g @ p[t.weights[k]] for t, g in zip(towers, d_pre)]
+            acts = trace.acts[k - 1]
+            d_a = self._couple_backward(k, [acts[i] for i in live], d_pre, d_in, grads, want)
 
-        for k in range(len(widths) - 1, 0, -1):
-            d_pre_t = d_a_t * (trace.pres_t[k] > 0)
-            d_pre_s = d_a_s * (trace.pres_s[k] > 0)
-            if f"b_t_{k}" in want:
-                grads[f"b_t_{k}"] += d_pre_t.sum(axis=0)
-            if f"b_s_{k}" in want:
-                grads[f"b_s_{k}"] += d_pre_s.sum(axis=0)
-            a_t_prev, a_s_prev = trace.acts_t[k - 1], trace.acts_s[k - 1]
-            if cross:
-                if f"W_t_{k}" in want:
-                    grads[f"W_t_{k}"] += d_pre_t.T @ a_t_prev
-                if f"W_s_{k}" in want:
-                    grads[f"W_s_{k}"] += d_pre_s.T @ a_s_prev
-                if f"H_{k - 1}" in want:
-                    # Both coupling directions feed the same matrix.
-                    grads[f"H_{k - 1}"] += d_pre_t.T @ a_s_prev + d_pre_s.T @ a_t_prev
-                h = p[f"H_{k - 1}"]
-                d_a_t = d_pre_t @ p[f"W_t_{k}"] + d_pre_s @ h
-                d_a_s = d_pre_s @ p[f"W_s_{k}"] + d_pre_t @ h
-            else:
-                m_t, m_s = trace.mixed_t[k - 1], trace.mixed_s[k - 1]
-                if f"W_t_{k}" in want:
-                    grads[f"W_t_{k}"] += d_pre_t.T @ m_t
-                if f"W_s_{k}" in want:
-                    grads[f"W_s_{k}"] += d_pre_s.T @ m_s
-                d_m_t = d_pre_t @ p[f"W_t_{k}"]
-                d_m_s = d_pre_s @ p[f"W_s_{k}"]
-                if f"alpha_{k - 1}" in want:
-                    grads[f"alpha_{k - 1}"] += np.array([
-                        float((d_m_t * a_t_prev).sum() + (d_m_s * a_s_prev).sum()),
-                        float((d_m_t * a_s_prev).sum() + (d_m_s * a_t_prev).sum()),
-                    ])
-                a_self, a_transfer = p[f"alpha_{k - 1}"]
-                d_a_t = a_self * d_m_t + a_transfer * d_m_s
-                d_a_s = a_self * d_m_s + a_transfer * d_m_t
-
-        d_pre_t = d_a_t * (trace.pres_t[0] > 0)
-        d_pre_s = d_a_s * (trace.pres_s[0] > 0)
-        if "W_t_0" in want:
-            grads["W_t_0"] += d_pre_t.T @ trace.x_t
-        if "b_t_0" in want:
-            grads["b_t_0"] += d_pre_t.sum(axis=0)
-        if "W_s_0" in want:
-            grads["W_s_0"] += d_pre_s.T @ trace.x_s
-        if "b_s_0" in want:
-            grads["b_s_0"] += d_pre_s.sum(axis=0)
-        if "P" in want or "Q_t" in want:
-            d_x_t = d_pre_t @ p["W_t_0"]
-            if "P" in want:
-                np.add.at(grads["P"], trace.users, d_x_t[:, :d])
-            if "Q_t" in want:
-                valid = trace.items_target >= 0
-                if valid.any():
-                    np.add.at(grads["Q_t"], trace.items_target[valid], d_x_t[valid, d:])
-        if name_p_src in want or "Q_s" in want:
-            d_x_s = d_pre_s @ p["W_s_0"]
-            if name_p_src in want:
-                np.add.at(grads[name_p_src], trace.users, d_x_s[:, :d])
-            if "Q_s" in want:
-                valid = trace.items_source >= 0
-                if valid.any():
-                    np.add.at(grads["Q_s"], trace.items_source[valid], d_x_s[valid, d:])
+        for i, t, g in zip(live, towers, d_pre):
+            if t.user not in want and t.items not in want:
+                continue
+            d_x = g @ p[t.weights[0]]
+            if t.user in want:
+                np.add.at(grads[t.user], trace.users, d_x[:, :d])
+            items = trace.items[i]
+            valid = items >= 0
+            if t.items in want and valid.any():
+                np.add.at(grads[t.items], items[valid], d_x[valid, d:])
         return grads
 
     # -- scoring
 
     def score_items(self, user: int, items, source_item: int = -1) -> np.ndarray:
+        """Target-domain probabilities of ``items`` for one user."""
         items = _as_index_array(items)
         users = np.full(items.size, user, dtype=np.int64)
         sources = np.full(items.size, source_item, dtype=np.int64)
-        return self.forward_batch(users, items, sources).probs_t
-
-
-def build_model(config: ModelConfig, sizes: DomainSizes, seed: int):
-    """Initialise a model of the configured architecture."""
-    config.validate()
-    if config.architecture == "mlp":
-        return MlpModel.initialize(config, sizes, seed)
-    return DualTowerModel.initialize(config, sizes, seed)
+        return self.forward_batch(users, items, sources).probs[0]

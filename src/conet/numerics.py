@@ -1,4 +1,4 @@
-"""Dense float64 math kernels and seeded randomness.
+"""Seeded randomness and the stable logistic function.
 
 Everything downstream (models, training, evaluation, data synthesis) is
 built on the conventions fixed here:
@@ -7,26 +7,17 @@ built on the conventions fixed here:
   are 1-D ``float64`` arrays;
 * all randomness flows from numpy ``Generator`` objects backed by PCG64,
   derived from a user seed via :func:`derive_rng`, which gives each
-  consumer an independent, platform-stable stream;
-* gradients are checked against :func:`finite_difference_gradient`, a
-  central-difference oracle that never shares code with the analytic path.
+  consumer an independent, platform-stable stream.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
-
 __all__ = [
-    "affine",
-    "relu",
     "sigmoid",
-    "gaussian_init",
-    "finite_difference_gradient",
     "derive_rng",
     "INIT_STD",
 ]
@@ -50,22 +41,6 @@ def derive_rng(seed: int, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def affine(w: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Compute ``w @ a + b`` with explicit shape validation."""
-    if w.ndim != 2 or a.ndim != 1 or b.ndim != 1:
-        raise ConfigError("affine expects a matrix, a bias vector and an input vector")
-    if w.shape[1] != a.shape[0]:
-        raise ConfigError(f"affine: matrix has {w.shape[1]} columns but input has length {a.shape[0]}")
-    if w.shape[0] != b.shape[0]:
-        raise ConfigError(f"affine: matrix has {w.shape[0]} rows but bias has length {b.shape[0]}")
-    return w @ a + b
-
-
-def relu(a: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(a, 0.0)
-
-
 def sigmoid(x):
     """Logistic function, stable for arguments out to +/-700.
 
@@ -81,36 +56,3 @@ def sigmoid(x):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def gaussian_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a ``rows x cols`` matrix of i.i.d. N(0, 0.01^2) entries."""
-    if rows < 1 or cols < 1:
-        raise ConfigError("gaussian_init needs rows >= 1 and cols >= 1")
-    return rng.normal(0.0, INIT_STD, size=(rows, cols))
-
-
-def finite_difference_gradient(
-    f: Callable[[np.ndarray], float], theta: np.ndarray, eps: float
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector.
-
-    Evaluates ``(f(theta + eps * e_i) - f(theta - eps * e_i)) / (2 * eps)``
-    per coordinate. This is the independent oracle used to verify every
-    hand-derived backward pass; it must never call analytic gradient code.
-    """
-    if eps <= 0:
-        raise ConfigError("finite_difference_gradient needs eps > 0")
-    theta = np.asarray(theta, dtype=np.float64)
-    grad = np.empty_like(theta)
-    probe = theta.copy()
-    for i in range(theta.size):
-        probe[i] = theta[i] + eps
-        hi = f(probe)
-        probe[i] = theta[i] - eps
-        lo = f(probe)
-        probe[i] = theta[i]
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NumericError(f"finite_difference_gradient: non-finite value at coordinate {i}")
-        grad[i] = (hi - lo) / (2.0 * eps)
-    return grad

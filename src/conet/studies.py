@@ -12,7 +12,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from .data import CrossDomainDataset, LooSplit, reduce_training
+from .data import LooSplit, reduce_training
 from .errors import ConfigError
 from .evaluation import MetricsReport, evaluate, ndcg_contributions, paired_t_test
 from .models import DomainSizes, ModelConfig, build_model
@@ -98,16 +98,8 @@ def model_config_for(arch: str, base: ModelConfig) -> ModelConfig:
     return replace(base, architecture=arch, lasso_lambda=0.0)
 
 
-def _sizes(split: LooSplit) -> DomainSizes:
-    return DomainSizes(
-        num_users=split.train.num_users,
-        num_items_target=split.train.target.num_items,
-        num_items_source=split.train.source.num_items,
-    )
-
-
 def _train_and_evaluate(config: ModelConfig, split: LooSplit, train_config: TrainConfig):
-    model = build_model(config, _sizes(split), train_config.seed)
+    model = build_model(config, DomainSizes.from_split(split), train_config.seed)
     trainer = Trainer(model, split, train_config)
     stats = trainer.fit()
     report = evaluate(make_scorer(model, split), split, partition="test")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import evaluation
 from .data import LooSplit, epoch_batches, num_batches
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .models import lasso_penalty
 from .numerics import derive_rng
 
@@ -32,11 +32,8 @@ __all__ = [
     "ModelScorer",
     "make_scorer",
     "fit",
-    "cross_entropy_loss",
     "cross_entropy_from_logits",
-    "joint_loss",
     "proximal_l1",
-    "pair_source_item",
     "sparsity_ratio",
 ]
 
@@ -72,29 +69,16 @@ class TrainConfig:
 # Losses
 
 
-def cross_entropy_loss(predictions, labels) -> float:
-    """Summed binary cross-entropy from probabilities strictly in (0, 1)."""
-    p = np.asarray(predictions, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    return float(-np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
 def cross_entropy_from_logits(logits, labels) -> float:
-    """Same loss computed from logits; stable for any logit magnitude.
+    """Summed binary cross-entropy of ``sigmoid(logits)``; stable for any logit.
 
-    Uses ``softplus(z) - y * z`` with the overflow-free softplus form;
-    mathematically identical to :func:`cross_entropy_loss` applied to
-    ``sigmoid(z)``.
+    Uses ``softplus(z) - y * z`` with the overflow-free softplus form,
+    mathematically identical to ``-sum(y log p + (1 - y) log(1 - p))``.
     """
     z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
     return float(np.sum(softplus - y * z))
-
-
-def joint_loss(loss_target: float, loss_source: float, penalty: float) -> float:
-    """Total objective: both domain losses plus the sparsity penalty."""
-    return loss_target + loss_source + penalty
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +152,9 @@ def sparsity_ratio(h: np.ndarray) -> float:
 
 
 def _pair_item(dataset, user: int, rng, mode: str) -> int:
+    # The item riding along with an example of the other domain: uniform
+    # over the user's interactions in train mode, the smallest index in
+    # eval mode, and the sentinel -1 for a user without history there.
     items = dataset.items_of(user)
     if items.size == 0:
         return -1  # sentinel: zero item-embedding half
@@ -176,19 +163,6 @@ def _pair_item(dataset, user: int, rng, mode: str) -> int:
     if mode == "train":
         return int(items[rng.integers(items.size)])
     raise ConfigError(f"unknown pairing mode {mode!r}")
-
-
-def pair_source_item(split: LooSplit, user: int, rng=None, mode: str = "train") -> int:
-    """Pick the source item riding along with a target-domain example.
-
-    Train mode samples uniformly from the user's source interactions,
-    fresh per example; eval mode deterministically takes the smallest
-    item index. A user with no source history gets the sentinel ``-1``,
-    which zeroes the source tower's item embedding half.
-    """
-    if mode == "train" and rng is None:
-        raise ConfigError("train-mode pairing needs an rng")
-    return _pair_item(split.train.source, user, rng, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +197,10 @@ class EpochStats:
 
     @classmethod
     def from_json_line(cls, line: str) -> "EpochStats":
-        record = json.loads(line)
-        return cls(**record)
+        try:
+            return cls(**json.loads(line))
+        except (ValueError, TypeError) as exc:
+            raise DataError(f"malformed history line ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +262,7 @@ class Trainer:
             "target": derive_rng(config.seed, "pairing", "target"),
             "source": derive_rng(config.seed, "pairing", "source"),
         }
-        self._iters = {"target": self._cycle("target")}
-        if model.dual:
-            self._iters["source"] = self._cycle("source")
+        self._iters = {domain: self._cycle(domain) for domain in model.domains}
 
     def _dataset(self, domain: str):
         return self.split.train.target if domain == "target" else self.split.train.source
@@ -310,28 +284,19 @@ class Trainer:
     def _train_step(self, domain: str, step: int) -> tuple:
         model = self.model
         batch = next(self._iters[domain])
-        wanted = model.update_group(domain)
-        if model.dual:
-            paired = self._paired_items(domain, batch.users)
-            if domain == "target":
-                trace = model.forward_batch(batch.users, batch.items, paired)
-                loss = cross_entropy_from_logits(trace.logits_t, batch.labels)
-                grads = model.backward_batch(trace, labels_target=batch.labels, wanted=wanted)
-            else:
-                trace = model.forward_batch(batch.users, paired, batch.items)
-                loss = cross_entropy_from_logits(trace.logits_s, batch.labels)
-                grads = model.backward_batch(trace, labels_source=batch.labels, wanted=wanted)
-        else:
-            trace = model.forward_batch(batch.users, batch.items)
-            loss = cross_entropy_from_logits(trace.logits, batch.labels)
-            grads = model.backward_batch(trace, batch.labels, wanted=wanted)
+        items = [batch.items if d == domain else self._paired_items(domain, batch.users)
+                 for d in model.domains]
+        labels = [batch.labels if d == domain else None for d in model.domains]
+        trace = model.forward_batch(batch.users, *items)
+        loss = cross_entropy_from_logits(trace.logits[model.domains.index(domain)], batch.labels)
+        grads = model.backward_batch(trace, *labels, wanted=model.update_group(domain))
         if not math.isfinite(loss):
             raise NumericError(
                 f"non-finite training loss at epoch {self._epoch}, step {step} ({domain} batch)"
             )
         self.optimizer.step(model.params, grads)
         lam = model.config.lasso_lambda
-        if lam > 0 and not getattr(model, "_frozen_cross", False):
+        if lam > 0 and not model.frozen_cross:
             threshold = self.config.learning_rate * lam
             for h in model.transfer_matrices():
                 h[:] = proximal_l1(h, threshold)
@@ -342,19 +307,14 @@ class Trainer:
         model = self.model
         cfg = self.config
         self._epoch += 1
-        steps = num_batches(self.split.train.target, cfg.batch_size)
-        if model.dual:
-            steps = max(steps, num_batches(self.split.train.source, cfg.batch_size))
+        steps = max(num_batches(self._dataset(d), cfg.batch_size) for d in model.domains)
         sums = {"target": 0.0, "source": 0.0}
         counts = {"target": 0, "source": 0}
         for step in range(steps):
-            loss, n = self._train_step("target", step)
-            sums["target"] += loss
-            counts["target"] += n
-            if model.dual:
-                loss, n = self._train_step("source", step)
-                sums["source"] += loss
-                counts["source"] += n
+            for domain in model.domains:
+                loss, n = self._train_step(domain, step)
+                sums[domain] += loss
+                counts[domain] += n
         val = self._validation_metrics()
         matrices = model.transfer_matrices()
         return EpochStats(
@@ -369,7 +329,7 @@ class Trainer:
         )
 
     def _validation_metrics(self):
-        if not self.split.test:
+        if not self.split.validation:
             return evaluation.MetricsReport(hr=math.nan, ndcg=math.nan, mrr=math.nan,
                                             per_user=[], top_n=10, num_evaluated_users=0)
         scorer = make_scorer(self.model, self.split)

@@ -1,12 +1,84 @@
-"""Shared fixtures and the flatten/unflatten harness for gradient checks."""
+"""Shared fixtures, reference oracles and the harness for gradient checks.
+
+The oracles here share no code with the program: per-example reference
+arithmetic that the batched model path is compared against.
+"""
 
 import numpy as np
 import pytest
 
 from conet.data import CrossDomainDataset, InteractionDataset, loo_split
-from conet.models import DomainSizes, ModelConfig, build_model
-from conet.numerics import derive_rng, finite_difference_gradient
+from conet.errors import NumericError
+from conet.models import DomainSizes, Model, ModelConfig, build_model
+from conet.numerics import derive_rng
 from conet.training import cross_entropy_from_logits
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles
+
+
+def finite_difference_gradient(f, theta, eps):
+    """Central-difference gradient of a scalar function of a flat vector.
+
+    Evaluates ``(f(theta + eps * e_i) - f(theta - eps * e_i)) / (2 * eps)``
+    per coordinate. This is the independent oracle used to verify every
+    hand-derived backward pass; it must never call analytic gradient code.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    grad = np.empty_like(theta)
+    probe = theta.copy()
+    for i in range(theta.size):
+        probe[i] = theta[i] + eps
+        hi = f(probe)
+        probe[i] = theta[i] - eps
+        lo = f(probe)
+        probe[i] = theta[i]
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise NumericError(f"finite_difference_gradient: non-finite value at coordinate {i}")
+        grad[i] = (hi - lo) / (2.0 * eps)
+    return grad
+
+
+def embed_lookup(p, q, user, item):
+    """Merged input of one example: user row of ``p`` then item row of ``q``."""
+    return np.concatenate([p[user], q[item]])
+
+
+def affine(w, b, a):
+    """One example's pre-activation ``w @ a + b``."""
+    return w @ a + b
+
+
+def cross_unit(w_t, b_t, w_s, b_s, h, a_t, a_s):
+    """One example's coupled pre-activations at a cross-connection transition.
+
+    ``(w_t @ a_t + b_t + h @ a_s, w_s @ a_s + b_s + h @ a_t)``: the same
+    transfer matrix ``h`` carries information in both directions.
+    """
+    return affine(w_t, b_t, a_t) + h @ a_s, affine(w_s, b_s, a_s) + h @ a_t
+
+
+def cross_entropy_loss(predictions, labels):
+    """Summed binary cross-entropy from probabilities strictly in (0, 1)."""
+    p = np.asarray(predictions, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    return float(-np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+
+def has(dataset, user, item):
+    """True when ``user`` interacted with ``item`` in ``dataset``."""
+    return item in dataset.items_of(user)
+
+
+def same_interactions(a, b):
+    """True when two datasets hold the same users, items and adjacency."""
+    return (a.num_users == b.num_users and a.num_items == b.num_items
+            and all(np.array_equal(x, y) for x, y in zip(a.adjacency, b.adjacency)))
+
+
+# ---------------------------------------------------------------------------
+# Models and gradient checks
 
 TINY_SIZES = DomainSizes(num_users=7, num_items_target=5, num_items_source=6)
 
@@ -31,13 +103,18 @@ def tiny_scaled_model(arch, seed, unshared=False):
     return model
 
 
+def model_with(config, sizes, **params):
+    """Model whose tensors are all zero except the given ones."""
+    template = build_model(config, sizes, 0).params
+    full = {name: np.zeros_like(v) for name, v in template.items()}
+    full.update({name: np.asarray(v, dtype=np.float64) for name, v in params.items()})
+    return Model(config, sizes, full)
+
+
 def joint_loss_of(model, users, items_t, items_s, labels_t, labels_s):
-    if model.dual:
-        trace = model.forward_batch(users, items_t, items_s)
-        return (cross_entropy_from_logits(trace.logits_t, labels_t)
-                + cross_entropy_from_logits(trace.logits_s, labels_s))
-    trace = model.forward_batch(users, items_t)
-    return cross_entropy_from_logits(trace.logits, labels_t)
+    trace = model.forward_batch(users, items_t, items_s)
+    return sum(cross_entropy_from_logits(logits, labels)
+               for logits, labels in zip(trace.logits, (labels_t, labels_s)))
 
 
 def gradient_check(arch, seed, batch=8, rtol=1e-5, atol=1e-8, unshared=False):
@@ -73,12 +150,8 @@ def gradient_check(arch, seed, batch=8, rtol=1e-5, atol=1e-8, unshared=False):
         model.params = saved
         return value
 
-    if model.dual:
-        trace = model.forward_batch(users, items_t, items_s)
-        grads = model.backward_batch(trace, labels_target=labels_t, labels_source=labels_s)
-    else:
-        trace = model.forward_batch(users, items_t)
-        grads = model.backward_batch(trace, labels_t)
+    trace = model.forward_batch(users, items_t, items_s)
+    grads = model.backward_batch(trace, labels_target=labels_t, labels_source=labels_s)
     analytic = flatten_params(grads, names)
     numeric = finite_difference_gradient(loss_at, theta0, 1e-6)
     scale = np.maximum(np.abs(analytic), np.abs(numeric))

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -73,4 +76,29 @@ def test_truncation_is_detected(tmp_path):
     save_checkpoint(model, path)
     path.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(DataError, match="truncated"):
+        load_checkpoint(path)
+
+
+def _corrupt(model, case):
+    params = dict(model.params)
+    config = model.config
+    if case == "unknown_architecture":
+        config = replace(config, architecture="gcn")
+    elif case == "missing_tensor":
+        del params["Q_t"]
+    elif case == "extra_tensor":
+        params["Z"] = np.zeros((1, 1))
+    elif case == "wrong_shape":
+        params["W_t_1"] = np.zeros((3, 3))
+    elif case == "non_finite":
+        params["H_0"] = np.full_like(params["H_0"], np.inf)
+    return SimpleNamespace(config=config, params=params)
+
+
+@pytest.mark.parametrize("case", ["unknown_architecture", "missing_tensor", "extra_tensor",
+                                  "wrong_shape", "non_finite"])
+def test_corrupt_content_is_data_error(case, tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_corrupt(build("conet"), case), path)
+    with pytest.raises(DataError):
         load_checkpoint(path)

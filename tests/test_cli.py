@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from conet.checkpoint import save_checkpoint
+from conet.checkpoint import load_checkpoint, save_checkpoint
 from conet.cli import load_run_config, main
 from conet.errors import ConfigError
-from conet.models import DomainSizes, MlpModel, ModelConfig
+from conet.models import DomainSizes, Model, ModelConfig
 
 
 GEN_FLAGS = [
@@ -194,7 +194,7 @@ class TestEvaluate:
         }
         cfg = ModelConfig(architecture="mlp", embedding_dim=d,
                           hidden_widths=(width0, 1), lasso_lambda=0.0)
-        model = MlpModel(cfg, DomainSizes(n_users, n_items), params)
+        model = Model(cfg, DomainSizes(n_users, n_items), params)
         ckpt_path = tmp_path / "oracle.ckpt"
         save_checkpoint(model, ckpt_path)
         out = tmp_path / "eval-oracle"
@@ -288,3 +288,49 @@ class TestSparsityReport:
 
     def test_needs_an_input(self, tmp_path):
         assert main(["sparsity-report", "--out", str(tmp_path / "sp3")]) == 2
+
+
+class TestMalformedInput:
+    """Bad input exits with its documented code and a one-line message."""
+
+    def assert_one_line_error(self, capsys, code, expected):
+        assert code == expected
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("flag,value", [("--epochs", "abc"), ("--hidden-widths", "8,x"),
+                                            ("--lasso-lambda", "lots")])
+    def test_bad_flag_value_is_config_error(self, tmp_path, capsys, flag, value):
+        code = main(["train", flag, value, "--out", str(tmp_path / "o")])
+        self.assert_one_line_error(capsys, code, 2)
+
+    def evaluate(self, tmp_path, data, run, checkpoint=None):
+        return main([
+            "evaluate", "--checkpoint", str(checkpoint or run / "model.ckpt"),
+            "--target", str(data / "target.tsv"), "--source", str(data / "source.tsv"),
+            "--split", str(run / "split.json"), "--out", str(tmp_path / "eval"),
+        ])
+
+    def test_sentinel_negative_in_manifest_is_data_error(self, tmp_path, capsys):
+        data = generate(tmp_path)
+        _, run = train(tmp_path, data)
+        manifest = json.loads((run / "split.json").read_text())
+        first = sorted(manifest["eval_negatives"])[0]
+        manifest["eval_negatives"][first][0] = -1
+        (run / "split.json").write_text(json.dumps(manifest))
+        self.assert_one_line_error(capsys, self.evaluate(tmp_path, data, run), 3)
+
+    def test_non_finite_checkpoint_is_data_error(self, tmp_path, capsys):
+        data = generate(tmp_path)
+        _, run = train(tmp_path, data)
+        model = load_checkpoint(run / "model.ckpt")
+        model.params["h_t"][0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(model, bad)
+        self.assert_one_line_error(capsys, self.evaluate(tmp_path, data, run, bad), 3)
+
+    def test_malformed_history_is_data_error(self, tmp_path, capsys):
+        history = tmp_path / "history.jsonl"
+        history.write_text('{"epoch": 1, "h_zero_ratios": [0.5]}\n{not json\n')
+        code = main(["sparsity-report", "--history", str(history), "--out", str(tmp_path / "sp")])
+        self.assert_one_line_error(capsys, code, 3)

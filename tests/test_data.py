@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from conet.data import (
 )
 from conet.errors import ConfigError, DataError
 from conet.numerics import derive_rng
+
+from conftest import has, same_interactions
 
 
 def make_dataset(adjacency, num_items, ids=True):
@@ -79,7 +83,7 @@ class TestLoadInteractions:
         out = tmp_path / "copy.tsv"
         write_interactions(ds, out)
         again = load_interactions(out, min_user_interactions=1)
-        assert ds.same_interactions(again)
+        assert same_interactions(ds, again)
         assert ds.user_ids == again.user_ids
         assert ds.item_ids == again.item_ids
 
@@ -126,10 +130,10 @@ class TestLooSplit:
     def test_holds_out_two_per_eval_user(self):
         data = small_cross_domain()
         split = loo_split(data, derive_rng(0, "split"))
-        for u in split.evaluated_users:
+        for u in sorted(split.test):
             assert split.train.target.items_of(u).size == 4
-            assert not split.train.target.has(u, split.test[u])
-            assert not split.train.target.has(u, split.validation[u])
+            assert not has(split.train.target, u, split.test[u])
+            assert not has(split.train.target, u, split.validation[u])
             assert split.test[u] != split.validation[u]
 
     def test_cold_users_keep_everything_and_skip_eval(self):
@@ -152,7 +156,7 @@ class TestLooSplit:
     def test_partition_union_is_original(self):
         data = small_cross_domain()
         split = loo_split(data, derive_rng(4, "split"))
-        for u in split.evaluated_users:
+        for u in sorted(split.test):
             rebuilt = set(split.train.target.items_of(u)) | {split.test[u], split.validation[u]}
             assert rebuilt == set(data.target.items_of(u))
             assert len(rebuilt) == data.target.items_of(u).size
@@ -160,17 +164,17 @@ class TestLooSplit:
     def test_source_never_split(self):
         data = small_cross_domain()
         split = loo_split(data, derive_rng(4, "split"))
-        assert split.train.source.same_interactions(data.source)
+        assert same_interactions(split.train.source, data.source)
 
     def test_negatives_exclude_all_interactions(self):
         data = small_cross_domain()
         split = loo_split(data, derive_rng(4, "split"))
-        for u in split.evaluated_users:
+        for u in sorted(split.test):
             negs = split.eval_negatives[u]
             assert negs.size == 99
             assert np.unique(negs).size == 99
             for j in negs:
-                assert not data.target.has(u, int(j))
+                assert not has(data.target, u, int(j))
 
 
 class TestSampleEvalNegatives:
@@ -211,9 +215,9 @@ class TestEpochBatches:
         for batch in epoch_batches(data.target, "target", 32, 2, derive_rng(1, "b")):
             for u, i, y in zip(batch.users, batch.items, batch.labels):
                 if y == 0:
-                    assert not data.target.has(int(u), int(i))
+                    assert not has(data.target, int(u), int(i))
                 else:
-                    assert data.target.has(int(u), int(i))
+                    assert has(data.target, int(u), int(i))
 
     def test_epoch_covers_positives_without_replacement(self):
         data = small_cross_domain()
@@ -225,10 +229,10 @@ class TestEpochBatches:
     def test_to_examples_view(self):
         data = small_cross_domain()
         batch = next(epoch_batches(data.target, "target", 4, 1, derive_rng(3, "b")))
-        examples = batch.to_examples()
-        assert len(examples) == 8
-        assert {e.domain for e in examples} == {"target"}
-        assert all((e.label == 1) == data.target.has(e.user, e.item) for e in examples)
+        assert len(batch) == 8 and batch.items.size == batch.labels.size == 8
+        assert batch.domain == "target"
+        assert all((y == 1) == has(data.target, int(u), int(i))
+                   for u, i, y in zip(batch.users, batch.items, batch.labels))
 
 
 class TestGenerateSynthetic:
@@ -237,8 +241,8 @@ class TestGenerateSynthetic:
                               latent_dim=4, target_density=0.05, source_density=0.1, seed=5)
         a = generate_synthetic(cfg)
         b = generate_synthetic(cfg)
-        assert a.target.same_interactions(b.target)
-        assert a.source.same_interactions(b.source)
+        assert same_interactions(a.target, b.target)
+        assert same_interactions(a.source, b.source)
 
     def test_density_within_contract(self):
         cfg = SyntheticConfig(num_users=200, num_items_target=400, num_items_source=200,
@@ -252,8 +256,8 @@ class TestGenerateSynthetic:
                     latent_dim=4, target_density=0.1, source_density=0.1, seed=2)
         rho0 = generate_synthetic(SyntheticConfig(relatedness=0.0, **base))
         rho1 = generate_synthetic(SyntheticConfig(relatedness=1.0, **base))
-        assert rho0.target.same_interactions(rho1.target)  # target untouched by rho
-        assert not rho0.source.same_interactions(rho1.source)
+        assert same_interactions(rho0.target, rho1.target)  # target untouched by rho
+        assert not same_interactions(rho0.source, rho1.source)
 
     def test_rho_one_swapped_domains_mirror(self):
         a = generate_synthetic(SyntheticConfig(
@@ -262,8 +266,8 @@ class TestGenerateSynthetic:
         b = generate_synthetic(SyntheticConfig(
             num_users=50, num_items_target=80, num_items_source=100, latent_dim=4,
             relatedness=1.0, target_density=0.05, source_density=0.1, seed=7))
-        assert a.target.same_interactions(b.source)
-        assert a.source.same_interactions(b.target)
+        assert same_interactions(a.target, b.source)
+        assert same_interactions(a.source, b.target)
 
     def test_interactions_per_user_matches_density(self):
         cfg = SyntheticConfig(num_users=100, num_items_target=200, num_items_source=100,
@@ -281,7 +285,7 @@ class TestGenerateSynthetic:
         path = tmp_path / "target.tsv"
         write_interactions(data.target, path)
         again = load_interactions(path, min_user_interactions=1)
-        assert data.target.same_interactions(again)
+        assert same_interactions(data.target, again)
         assert data.target.item_ids == again.item_ids
 
     def test_unachievable_density_rejected(self):
@@ -294,7 +298,7 @@ class TestReduceTraining:
         split = loo_split(small_cross_domain(), derive_rng(0, "split"))
         result = reduce_training(split, 0, derive_rng(0, "r"))
         assert result.removed == 0
-        assert result.split.train.target.same_interactions(split.train.target)
+        assert same_interactions(result.split.train.target, split.train.target)
 
     def test_floor_of_one_interaction(self):
         data = CrossDomainDataset(
@@ -322,7 +326,7 @@ class TestReduceTraining:
         split = loo_split(small_cross_domain(), derive_rng(2, "split"))
         a = reduce_training(split, 2, derive_rng(5, "r"))
         b = reduce_training(split, 2, derive_rng(5, "r"))
-        assert a.split.train.target.same_interactions(b.split.train.target)
+        assert same_interactions(a.split.train.target, b.split.train.target)
 
 
 class TestSplitManifest:
@@ -336,7 +340,7 @@ class TestSplitManifest:
         assert again.validation == split.validation
         assert all(np.array_equal(again.eval_negatives[u], split.eval_negatives[u])
                    for u in split.test)
-        assert again.train.target.same_interactions(split.train.target)
+        assert same_interactions(again.train.target, split.train.target)
 
     def test_rejects_wrong_dataset(self, tmp_path):
         data = small_cross_domain()
@@ -346,3 +350,44 @@ class TestSplitManifest:
         other = small_cross_domain(num_users=11)
         with pytest.raises(DataError):
             load_split_manifest(other, path)
+
+    @pytest.mark.parametrize("case", [
+        "sentinel_negative", "duplicate_negative", "missing_test_key",
+        "negative_out_of_range", "float_negative", "short_negatives",
+        "user_out_of_range", "same_item_held_twice", "held_item_not_interacted",
+        "interacted_negative", "not_json",
+    ])
+    def test_rejects_malformed_manifest(self, tmp_path, case):
+        data = small_cross_domain()
+        split = loo_split(data, derive_rng(3, "split"))
+        path = tmp_path / "split.json"
+        save_split_manifest(split, path)
+        manifest = json.loads(path.read_text())
+        user = sorted(manifest["test"])[0]
+        negs = manifest["eval_negatives"][user]
+        held = manifest["test"][user]
+        if case == "sentinel_negative":
+            negs[5] = -1
+        elif case == "duplicate_negative":
+            negs[5] = negs[6]
+        elif case == "missing_test_key":
+            del manifest["test"]
+        elif case == "negative_out_of_range":
+            negs[0] = data.target.num_items
+        elif case == "float_negative":
+            negs[0] = negs[0] + 0.5
+        elif case == "short_negatives":
+            negs.pop()
+        elif case == "user_out_of_range":
+            for key in ("test", "validation", "eval_negatives"):
+                manifest[key][str(data.num_users)] = manifest[key].pop(user)
+        elif case == "same_item_held_twice":
+            manifest["validation"][user] = held
+        elif case == "held_item_not_interacted":
+            manifest["test"][user] = negs[0]
+        elif case == "interacted_negative":
+            negs[0] = held
+        text = json.dumps(manifest) if case != "not_json" else "{not json"
+        path.write_text(text)
+        with pytest.raises(DataError):
+            load_split_manifest(data, path)

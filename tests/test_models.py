@@ -6,17 +6,21 @@ import pytest
 from conet.errors import ConfigError
 from conet.models import (
     DomainSizes,
-    DualTowerModel,
-    MlpModel,
+    Model,
     ModelConfig,
     build_model,
-    cross_unit,
-    embed_lookup,
     lasso_penalty,
 )
 from conftest import TINY_SIZES as TINY
-from conftest import gradient_check, tiny_model_config as tiny_config
+from conftest import cross_unit, embed_lookup, gradient_check, model_with
+from conftest import tiny_model_config as tiny_config
 from conftest import tiny_scaled_model as scaled_model
+
+
+def probs_of(model, user, item_target, item_source=-1):
+    """Per-tower probabilities of one example, target first."""
+    trace = model.forward_batch([user], [item_target], [item_source])
+    return tuple(float(p[0]) for p in trace.probs)
 
 
 class TestModelConfig:
@@ -48,62 +52,106 @@ class TestModelConfig:
 
 
 class TestEmbedLookup:
+    """The trace's merged input against the per-example lookup oracle."""
+
     def test_zero_matrices(self):
-        out = embed_lookup(np.zeros((3, 2)), np.zeros((4, 2)), 1, 2)
-        assert np.array_equal(out, np.zeros(4))
+        model = model_with(tiny_config("mlp"), TINY)
+        row = model.forward_batch([1], [2]).inputs[0][0][0]
+        assert np.array_equal(row, np.zeros(8))
+        assert np.array_equal(row, embed_lookup(model.params["P"], model.params["Q"], 1, 2))
 
     def test_concatenation(self):
-        p = np.array([[9.0, 9.0], [1.0, 2.0]])
-        q = np.array([[3.0, 4.0]])
-        assert np.array_equal(embed_lookup(p, q, 1, 0), [1.0, 2.0, 3.0, 4.0])
+        cfg = ModelConfig(architecture="mlp", embedding_dim=2, hidden_widths=(4,))
+        model = model_with(cfg, DomainSizes(2, 1), P=[[9.0, 9.0], [1.0, 2.0]], Q=[[3.0, 4.0]])
+        assert np.array_equal(model.forward_batch([1], [0]).inputs[0][0][0], [1.0, 2.0, 3.0, 4.0])
 
     def test_length_is_two_d(self):
-        rng = np.random.default_rng(0)
-        p = rng.normal(size=(5, 6))
-        q = rng.normal(size=(7, 6))
-        assert embed_lookup(p, q, 4, 6).shape == (12,)
+        model = scaled_model("conet", 4)
+        users, items_t, items_s = np.array([0, 6, 3]), np.array([4, 0, 2]), np.array([5, 1, 0])
+        trace = model.forward_batch(users, items_t, items_s)
+        p = model.params
+        for tower, q, items in ((0, p["Q_t"], items_t), (1, p["Q_s"], items_s)):
+            x = trace.inputs[0][tower]
+            assert x.shape == (3, 8)
+            for row, u, i in zip(x, users, items):
+                assert np.array_equal(row, embed_lookup(p["P"], q, u, i))
 
     def test_out_of_range(self):
+        model = build_model(tiny_config("mlp"), TINY, 0)
         with pytest.raises(IndexError):
-            embed_lookup(np.zeros((2, 2)), np.zeros((2, 2)), 2, 0)
+            model.forward_batch([TINY.num_users], [0])
         with pytest.raises(IndexError):
-            embed_lookup(np.zeros((2, 2)), np.zeros((2, 2)), 0, 5)
+            model.forward_batch([0], [TINY.num_items_target])
+
+
+def coupled_pre(model, trace, tower, k):
+    # Oracle for hidden layer k >= 1 of a conet batch, one example at a time.
+    p = model.params
+    rows = []
+    for a_t, a_s in zip(*trace.acts[k - 1]):
+        pair = cross_unit(p[f"W_t_{k}"], p[f"b_t_{k}"], p[f"W_s_{k}"], p[f"b_s_{k}"],
+                          p[f"H_{k - 1}"], a_t, a_s)
+        rows.append(pair[tower])
+    return np.asarray(rows)
 
 
 class TestCrossUnit:
+    """forward_batch's conet transitions against the per-example cross_unit oracle."""
+
+    def batch(self, model):
+        return model.forward_batch(np.arange(7), np.arange(7) % 5, np.arange(7) % 6)
+
     def test_zero_transfer_decouples(self):
-        rng = np.random.default_rng(1)
-        w_t, w_s = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        b_t, b_s = rng.normal(size=3), rng.normal(size=3)
-        a_t, a_s = rng.normal(size=4), rng.normal(size=4)
-        pre_t, pre_s = cross_unit(w_t, b_t, w_s, b_s, np.zeros((3, 4)), a_t, a_s)
-        assert np.array_equal(pre_t, w_t @ a_t + b_t)
-        assert np.array_equal(pre_s, w_s @ a_s + b_s)
+        model = scaled_model("conet", 1)
+        for k in range(2):
+            model.params[f"H_{k}"][:] = 0.0
+        trace = self.batch(model)
+        p = model.params
+        for k in (1, 2):
+            for tower, side in ((0, "t"), (1, "s")):
+                plain = trace.acts[k - 1][tower] @ p[f"W_{side}_{k}"].T + p[f"b_{side}_{k}"]
+                assert np.array_equal(trace.pres[k][tower], plain)
+                assert np.allclose(plain, coupled_pre(model, trace, tower, k),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_zero_source_activation(self):
-        rng = np.random.default_rng(2)
-        w_t, w_s = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        b_t, b_s = rng.normal(size=3), rng.normal(size=3)
-        h = rng.normal(size=(3, 4))
-        a_t = rng.normal(size=4)
-        pre_t, _ = cross_unit(w_t, b_t, w_s, b_s, h, a_t, np.zeros(4))
-        assert np.array_equal(pre_t, w_t @ a_t + b_t)
+        model = scaled_model("conet", 2)
+        model.params["W_s_0"][:] = 0.0
+        model.params["b_s_0"][:] = 0.0
+        trace = self.batch(model)
+        p = model.params
+        assert np.all(trace.acts[0][1] == 0.0)
+        assert np.array_equal(trace.pres[1][0], trace.acts[0][0] @ p["W_t_1"].T + p["b_t_1"])
+        # with H live, every coupled transition still matches the oracle
+        for k in (1, 2):
+            for tower in (0, 1):
+                assert np.allclose(trace.pres[k][tower], coupled_pre(model, trace, tower, k),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_hand_computed_pair(self):
-        w_t = np.array([[1.0, 0.0], [0.0, 2.0]])
-        w_s = np.array([[0.5, 0.5], [1.0, -1.0]])
-        h = np.array([[2.0, 3.0], [-1.0, 1.0]])
-        a_t = np.array([1.0, 0.0])
-        a_s = np.array([0.0, 1.0])
-        pre_t, pre_s = cross_unit(w_t, np.zeros(2), w_s, np.zeros(2), h, a_t, a_s)
-        # pre_t = W_t a_t + H a_s = (1, 0) + (3, 1); pre_s = W_s a_s + H a_t
-        assert np.array_equal(pre_t, [4.0, 1.0])
-        assert np.array_equal(pre_s, [2.5, -2.0])
+        cfg = ModelConfig(architecture="conet", embedding_dim=1, hidden_widths=(2, 2),
+                          lasso_lambda=0.0)
+        model = model_with(
+            cfg, DomainSizes(1, 1, 1),
+            P=[[1.0]], Q_s=[[1.0]],
+            W_t_0=[[1.0, 0.0], [0.0, 0.0]], W_s_0=[[0.0, 0.0], [0.0, 1.0]],
+            W_t_1=[[1.0, 0.0], [0.0, 2.0]], W_s_1=[[0.5, 0.5], [1.0, -1.0]],
+            H_0=[[2.0, 3.0], [-1.0, 1.0]],
+        )
+        trace = model.forward_batch([0], [0], [0])
+        # a_t = (1, 0), a_s = (0, 1); pre_t = W_t a_t + H a_s = (1, 0) + (3, 1);
+        # pre_s = W_s a_s + H a_t = (0.5, -1) + (2, -1)
+        assert np.array_equal(trace.pres[1][0][0], [4.0, 1.0])
+        assert np.array_equal(trace.pres[1][1][0], [2.5, -2.0])
+        assert np.array_equal(coupled_pre(model, trace, 0, 1), [[4.0, 1.0]])
+        assert np.array_equal(coupled_pre(model, trace, 1, 1), [[2.5, -2.0]])
 
     def test_shape_errors(self):
+        model = scaled_model("conet", 0)
+        params = dict(model.params)
+        params["H_0"] = np.zeros((4, 9))
         with pytest.raises(ConfigError):
-            cross_unit(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2),
-                       np.zeros((2, 3)), np.zeros(2), np.zeros(2))
+            Model(model.config, TINY, params)
 
 
 class TestLassoPenalty:
@@ -120,18 +168,13 @@ class TestLassoPenalty:
 
 class TestBaseForward:
     def test_all_zero_parameters_give_half(self):
-        cfg = tiny_config("mlp")
-        model = build_model(cfg, TINY, 0)
-        for name in model.params:
-            model.params[name] = np.zeros_like(model.params[name])
-        prob, _ = model.forward_one(2, 3)
-        assert prob == 0.5
+        assert probs_of(model_with(tiny_config("mlp"), TINY), 2, 3) == (0.5,)
 
     def test_flipping_output_weight_reflects_probability(self):
         model = scaled_model("mlp", 1)
-        p1, _ = model.forward_one(1, 2)
+        (p1,) = probs_of(model, 1, 2)
         model.params["h"] = -model.params["h"]
-        p2, _ = model.forward_one(1, 2)
+        (p2,) = probs_of(model, 1, 2)
         assert abs((1.0 - p1) - p2) < 1e-15
 
     def test_hand_computed_tiny_instance(self):
@@ -146,12 +189,12 @@ class TestBaseForward:
             "b_1": np.array([0.05]),
             "h": np.array([2.0]),
         }
-        model = MlpModel(cfg, sizes, params)
-        prob, trace = model.forward_one(0, 0)
+        model = Model(cfg, sizes, params)
+        trace = model.forward_batch([0], [0])
         # x = (0.5, -0.25); pre0 = (0.5 - 0.5 + 0.1, 1.5 - 1.0 - 0.1) = (0.1, 0.4)
         # pre1 = 2*0.1 + 1*0.4 + 0.05 = 0.65; logit = 1.3
-        assert np.allclose(trace.acts[0][0], [0.1, 0.4], atol=1e-15)
-        assert abs(prob - 1.0 / (1.0 + math.exp(-1.3))) < 1e-15
+        assert np.allclose(trace.acts[0][0][0], [0.1, 0.4], atol=1e-15)
+        assert abs(trace.probs[0][0] - 1.0 / (1.0 + math.exp(-1.3))) < 1e-15
 
     def test_probabilities_strictly_inside_unit_interval(self):
         model = scaled_model("mlp", 3)
@@ -165,25 +208,24 @@ class TestBaseForward:
         params = dict(model.params)
         params["W_1"] = np.zeros((4, 9))
         with pytest.raises(ConfigError):
-            MlpModel(cfg, TINY, params)
+            Model(cfg, TINY, params)
         params = dict(model.params)
         del params["b_1"]
         with pytest.raises(ConfigError):
-            MlpModel(cfg, TINY, params)
+            Model(cfg, TINY, params)
 
 
-def mlp_view_of_tower(conet_model, side):
-    """Single-tower model sharing parameter arrays with one conet tower."""
-    cfg = tiny_config("mlp")
-    q = "Q_t" if side == "t" else "Q_s"
+def mlp_view_of_tower(model, side):
+    """Single-tower model sharing parameter arrays with one tower of ``model``."""
+    widths = model.config.hidden_widths
+    cfg = ModelConfig(architecture="mlp", embedding_dim=widths[0] // 2, hidden_widths=widths)
+    params = {"P": model.params["P"], "Q": model.params[f"Q_{side}"],
+              "h": model.params[f"h_{side}"]}
+    for k in range(len(widths)):
+        params[f"W_{k}"] = model.params[f"W_{side}_{k}"]
+        params[f"b_{k}"] = model.params[f"b_{side}_{k}"]
     items = TINY.num_items_target if side == "t" else TINY.num_items_source
-    params = {"P": conet_model.params["P"], "Q": conet_model.params[q]}
-    for k in range(3):
-        params[f"W_{k}"] = conet_model.params[f"W_{side}_{k}"]
-        params[f"b_{k}"] = conet_model.params[f"b_{side}_{k}"]
-    params["h"] = conet_model.params[f"h_{side}"]
-    sizes = DomainSizes(TINY.num_users, items)
-    return MlpModel(cfg, sizes, params)
+    return Model(cfg, DomainSizes(TINY.num_users, items), params)
 
 
 class TestConetForward:
@@ -193,12 +235,12 @@ class TestConetForward:
             model.params[f"H_{k}"][:] = 0.0
         target_view = mlp_view_of_tower(model, "t")
         source_view = mlp_view_of_tower(model, "s")
-        for u in range(TINY.num_users):
-            for i in range(TINY.num_items_target):
-                for j in range(TINY.num_items_source):
-                    p_t, p_s, _ = model.forward_one(u, i, j)
-                    assert p_t == target_view.forward_one(u, i)[0]
-                    assert p_s == source_view.forward_one(u, j)[0]
+        u, i, j = (g.ravel() for g in np.meshgrid(np.arange(TINY.num_users),
+                                                  np.arange(TINY.num_items_target),
+                                                  np.arange(TINY.num_items_source)))
+        trace = model.forward_batch(u, i, j)
+        assert np.array_equal(trace.probs[0], target_view.forward_batch(u, i).probs[0])
+        assert np.array_equal(trace.probs[1], source_view.forward_batch(u, j).probs[0])
 
     def test_swapping_towers_swaps_outputs(self):
         model = scaled_model("conet", 6)
@@ -213,37 +255,25 @@ class TestConetForward:
         swapped_params["Q_t"] = model.params["Q_s"]
         swapped_params["Q_s"] = model.params["Q_t"]
         sizes = DomainSizes(TINY.num_users, TINY.num_items_source, TINY.num_items_target)
-        swapped = DualTowerModel(model.config, sizes, swapped_params)
-        p_t, p_s, _ = model.forward_one(3, 2, 4)
-        q_t, q_s, _ = swapped.forward_one(3, 4, 2)
+        swapped = Model(model.config, sizes, swapped_params)
+        p_t, p_s = probs_of(model, 3, 2, 4)
+        q_t, q_s = probs_of(swapped, 3, 4, 2)
         assert p_t == q_s and p_s == q_t
 
     def test_hand_computed_coupled_pair(self):
         cfg = ModelConfig(architecture="conet", embedding_dim=1, hidden_widths=(2, 1),
                           lasso_lambda=0.0)
-        sizes = DomainSizes(num_users=1, num_items_target=1, num_items_source=1)
-        params = {
-            "P": np.array([[1.0]]),
-            "Q_t": np.array([[0.5]]),
-            "Q_s": np.array([[-1.0]]),
-            "W_t_0": np.array([[1.0, 0.0], [0.0, 1.0]]),
-            "b_t_0": np.zeros(2),
-            "W_s_0": np.array([[1.0, 1.0], [1.0, -1.0]]),
-            "b_s_0": np.zeros(2),
-            "W_t_1": np.array([[1.0, 2.0]]),
-            "b_t_1": np.array([0.0]),
-            "W_s_1": np.array([[0.5, 0.5]]),
-            "b_s_1": np.array([0.0]),
-            "h_t": np.array([1.0]),
-            "h_s": np.array([-1.0]),
-            "H_0": np.array([[0.5, 0.25]]),
-        }
-        model = DualTowerModel(cfg, sizes, params)
-        p_t, p_s, trace = model.forward_one(0, 0, 0)
+        model = model_with(
+            cfg, DomainSizes(1, 1, 1), P=[[1.0]], Q_t=[[0.5]], Q_s=[[-1.0]],
+            W_t_0=np.eye(2), W_s_0=[[1.0, 1.0], [1.0, -1.0]], W_t_1=[[1.0, 2.0]],
+            W_s_1=[[0.5, 0.5]], h_t=[1.0], h_s=[-1.0], H_0=[[0.5, 0.25]],
+        )
+        trace = model.forward_batch([0], [0], [0])
+        p_t, p_s = probs_of(model, 0, 0, 0)
         # x_t = (1, 0.5) -> a_t0 = (1, 0.5); x_s = (1, -1) -> pre (0, 2) -> a_s0 = (0, 2)
         # pre_t1 = 1*1 + 2*0.5 + (0.5*0 + 0.25*2) = 2.5 ; pre_s1 = 0.5*(0+2) + (0.5*1 + 0.25*0.5) = 1.625
-        assert trace.logits_t[0] == pytest.approx(2.5, abs=1e-15)
-        assert trace.logits_s[0] == pytest.approx(-1.625, abs=1e-15)
+        assert trace.logits[0][0] == pytest.approx(2.5, abs=1e-15)
+        assert trace.logits[1][0] == pytest.approx(-1.625, abs=1e-15)
         assert p_t == pytest.approx(1.0 / (1.0 + math.exp(-2.5)), abs=1e-15)
         assert p_s == pytest.approx(1.0 / (1.0 + math.exp(1.625)), abs=1e-15)
 
@@ -252,7 +282,7 @@ class TestConetForward:
         probs = model.score_items(0, np.arange(3), source_item=-1)
         trace = model.forward_batch(np.zeros(3, dtype=int), np.arange(3),
                                     np.full(3, -1, dtype=int))
-        assert np.array_equal(trace.x_s[:, 4:], np.zeros((3, 4)))
+        assert np.array_equal(trace.inputs[0][1][:, 4:], np.zeros((3, 4)))
         assert np.all((probs > 0) & (probs < 1))
 
 
@@ -262,38 +292,37 @@ class TestCsnForward:
         for k in range(2):
             model.params[f"alpha_{k}"] = np.array([1.0, 0.0])
         # with alpha = (1, 0) each tower only sees itself
-        cfg = ModelConfig(architecture="mlp", embedding_dim=4, hidden_widths=(8, 8, 8))
-        params = {"P": model.params["P"], "Q": model.params["Q_t"]}
-        for k in range(3):
-            params[f"W_{k}"] = model.params[f"W_t_{k}"]
-            params[f"b_{k}"] = model.params[f"b_t_{k}"]
-        params["h"] = model.params["h_t"]
-        view = MlpModel(cfg, DomainSizes(TINY.num_users, TINY.num_items_target), params)
+        view = mlp_view_of_tower(model, "t")
         for u in range(TINY.num_users):
-            p_t, _, _ = model.forward_one(u, u % 5, u % 6)
-            assert p_t == view.forward_one(u, u % 5)[0]
+            assert probs_of(model, u, u % 5, u % 6)[0] == probs_of(view, u, u % 5)[0]
 
     def test_symmetric_mix_of_equal_activations(self):
         model = scaled_model("csn", 9)
         for k in range(2):
             model.params[f"alpha_{k}"] = np.array([0.5, 0.5])
-        users = np.array([1, 2])
-        trace = model.forward_batch(users, np.array([0, 1]), np.array([0, 1]))
+        # identical towers over identical items see identical activations
+        for k in range(3):
+            model.params[f"W_s_{k}"] = model.params[f"W_t_{k}"]
+            model.params[f"b_s_{k}"] = model.params[f"b_t_{k}"]
+        model.params["Q_s"] = model.params["Q_t"][[0, 1, 2, 3, 4, 0]]
+        trace = model.forward_batch(np.array([1, 2]), np.array([0, 1]), np.array([0, 1]))
         # mixing 0.5/0.5 of two equal activation maps returns the map itself
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        alpha = model.params["alpha_0"]
-        mixed = alpha[0] * a + alpha[1] * a
-        assert np.allclose(mixed, a, atol=1e-15)
-        assert trace.mixed_t is not None and len(trace.mixed_t) == 2
+        assert len(trace.inputs) == 3
+        for k in (1, 2):
+            assert np.array_equal(trace.acts[k - 1][0], trace.acts[k - 1][1])
+            assert np.array_equal(trace.inputs[k][0], trace.acts[k - 1][0])
+            assert np.array_equal(trace.inputs[k][1], trace.acts[k - 1][1])
 
     def test_hand_computed_mix(self):
-        a_t = np.array([2.0, -1.0])
-        a_s = np.array([4.0, 8.0])
-        alpha_self, alpha_transfer = 0.9, 0.1
-        mixed_t = alpha_self * a_t + alpha_transfer * a_s
-        mixed_s = alpha_self * a_s + alpha_transfer * a_t
-        assert np.allclose(mixed_t, [2.2, -0.1], atol=1e-15)
-        assert np.allclose(mixed_s, [3.8, 7.1], atol=1e-15)
+        cfg = ModelConfig(architecture="csn", embedding_dim=1, hidden_widths=(2, 2),
+                          lasso_lambda=0.0)
+        model = model_with(cfg, DomainSizes(1, 1, 1), P=[[2.0]], Q_t=[[1.0]], Q_s=[[8.0]],
+                           W_t_0=np.eye(2), W_s_0=[[2.0, 0.0], [0.0, 1.0]],
+                           alpha_0=[0.9, 0.1])
+        trace = model.forward_batch([0], [0], [0])
+        # a_t = (2, 1), a_s = (4, 8): mixed_t = 0.9 a_t + 0.1 a_s, mixed_s = 0.9 a_s + 0.1 a_t
+        assert np.allclose(trace.inputs[1][0][0], [2.2, 1.7], atol=1e-15)
+        assert np.allclose(trace.inputs[1][1][0], [3.8, 7.3], atol=1e-15)
 
     def test_nonuniform_widths_rejected_before_training(self):
         cfg = ModelConfig(architecture="csn", embedding_dim=4, hidden_widths=(8, 4, 2))
@@ -318,8 +347,8 @@ class TestBackward:
         model = scaled_model("conet", 11)
         users = np.array([0, 1, 2])
         trace = model.forward_batch(users, np.array([0, 1, 2]), np.array([3, 4, 5]))
-        grads = model.backward_batch(trace, labels_target=trace.probs_t.copy(),
-                                     labels_source=trace.probs_s.copy())
+        grads = model.backward_batch(trace, labels_target=trace.probs[0].copy(),
+                                     labels_source=trace.probs[1].copy())
         for g in grads.values():
             assert np.all(g == 0.0)
 

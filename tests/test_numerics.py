@@ -5,65 +5,88 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conet.errors import ConfigError, NumericError
-from conet.numerics import (
-    affine,
-    derive_rng,
-    finite_difference_gradient,
-    gaussian_init,
-    relu,
-    sigmoid,
-)
+from conet.models import DomainSizes, ModelConfig, build_model
+from conet.numerics import derive_rng, sigmoid
+
+from conftest import affine, finite_difference_gradient, model_with
+
+
+def mlp_with(widths, **params):
+    """mlp over one user and one item, all tensors zero but ``params``."""
+    cfg = ModelConfig(architecture="mlp", embedding_dim=widths[0] // 2,
+                      hidden_widths=widths, lasso_lambda=0.0)
+    return model_with(cfg, DomainSizes(1, 1), **params)
+
+
+def first_layer(w, b, x):
+    """The model's first hidden pre-activation for merged input ``x``."""
+    d = len(x) // 2
+    model = mlp_with((len(x),), P=[x[:d]], Q=[x[d:]], W_0=w, b_0=b)
+    return model.forward_batch([0], [0]).pres[0][0][0]
+
+
+def hidden_activation(pre):
+    """The model's second hidden activation when its pre-activation is ``pre``."""
+    model = mlp_with((2, len(pre)), b_1=pre)
+    trace = model.forward_batch([0], [0])
+    assert np.array_equal(trace.pres[1][0][0], pre)
+    return trace.acts[1][0][0]
 
 
 class TestAffine:
+    """Each hidden layer's pre-activation against the per-example oracle."""
+
     def test_identity_matrix(self):
-        w = np.eye(2)
-        out = affine(w, np.zeros(2), np.array([3.0, -1.0]))
+        x = np.array([3.0, -1.0])
+        out = first_layer(np.eye(2), np.zeros(2), x)
         assert np.array_equal(out, [3.0, -1.0])
+        assert np.array_equal(out, affine(np.eye(2), np.zeros(2), x))
 
     def test_zero_matrix_returns_bias(self):
-        w = np.zeros((2, 3))
-        out = affine(w, np.array([1.0, 2.0]), np.array([5.0, -2.0, 7.0]))
+        out = first_layer(np.zeros((2, 2)), np.array([1.0, 2.0]), np.array([5.0, -2.0]))
         assert np.array_equal(out, [1.0, 2.0])
 
     def test_hand_computed(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = affine(w, np.array([0.5, -0.5]), np.array([1.0, 1.0]))
+        out = first_layer(w, np.array([0.5, -0.5]), np.array([1.0, 1.0]))
         assert np.allclose(out, [3.5, 6.5], atol=0, rtol=0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
-            affine(np.eye(2), np.zeros(2), np.zeros(3))
+            first_layer(np.eye(2)[:, :1], np.zeros(2), np.zeros(2))
         with pytest.raises(ConfigError):
-            affine(np.eye(2), np.zeros(3), np.zeros(2))
+            first_layer(np.eye(2), np.zeros(3), np.zeros(2))
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
-        w = rng.normal(size=(4, 6))
-        b = rng.normal(size=4)
+        w = rng.normal(size=(6, 6))
+        b = rng.normal(size=6)
         a1 = rng.normal(size=6)
         a2 = rng.normal(size=6)
-        lhs = affine(w, b, a1 + a2)
-        rhs = affine(w, b, a1) + affine(w, np.zeros(4), a2)
+        lhs = first_layer(w, b, a1 + a2)
+        rhs = first_layer(w, b, a1) + first_layer(w, np.zeros(6), a2)
         assert np.allclose(lhs, rhs, atol=1e-12)
+        assert np.allclose(lhs, affine(w, b, a1 + a2), atol=1e-12)
 
 
 class TestRelu:
+    """Each hidden layer's activation against the per-example oracle."""
+
     def test_sign_cases(self):
-        assert np.array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+        assert np.array_equal(hidden_activation(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
     def test_all_negative(self):
-        assert np.array_equal(relu(np.array([-3.0, -0.5])), [0.0, 0.0])
+        assert np.array_equal(hidden_activation(np.array([-3.0, -0.5])), [0.0, 0.0])
 
     def test_identity_on_positives(self):
         x = np.array([0.1, 5.0, 2.5])
-        assert np.array_equal(relu(x), x)
+        assert np.array_equal(hidden_activation(x), x)
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=20))
     def test_idempotent(self, values):
-        x = np.asarray(values)
-        once = relu(x)
-        assert np.array_equal(relu(once), once)
+        once = hidden_activation(np.asarray(values))
+        assert np.array_equal(once, np.maximum(values, 0.0))
+        assert np.array_equal(hidden_activation(once), once)
 
 
 class TestSigmoid:
@@ -91,23 +114,27 @@ class TestSigmoid:
         assert out[0] == 0.5
 
 
+def embeddings(seed, num_users=100, dim=50):
+    cfg = ModelConfig(architecture="mlp", embedding_dim=dim, hidden_widths=(2 * dim,))
+    return build_model(cfg, DomainSizes(num_users, 1), seed).params["P"]
+
+
 class TestGaussianInit:
+    """Embedding tables start as i.i.d. N(0, 0.01^2) draws of the seed."""
+
     def test_deterministic(self):
-        a = gaussian_init(50, 40, derive_rng(7, "x"))
-        b = gaussian_init(50, 40, derive_rng(7, "x"))
-        assert np.array_equal(a, b)
+        assert np.array_equal(embeddings(7), embeddings(7))
+        assert not np.array_equal(embeddings(7), embeddings(8))
 
     def test_sample_mean(self):
-        samples = gaussian_init(100, 100, derive_rng(1, "stats"))
-        assert abs(samples.mean()) < 0.001
+        assert abs(embeddings(1, dim=100).mean()) < 0.001
 
     def test_sample_std(self):
-        samples = gaussian_init(100, 100, derive_rng(2, "stats"))
-        assert abs(samples.std() - 0.01) < 0.001
+        assert abs(embeddings(2, dim=100).std() - 0.01) < 0.001
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):
-            gaussian_init(0, 3, derive_rng(0))
+            embeddings(0, num_users=0)
 
 
 class TestDeriveRng:

@@ -4,25 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conet.data import CrossDomainDataset, InteractionDataset, loo_split
+from conet.data import CrossDomainDataset, InteractionDataset, LooSplit, loo_split
 from conet.errors import ConfigError, NumericError
-from conet.models import DomainSizes, ModelConfig, build_model
+from conet.models import DomainSizes, ModelConfig, build_model, lasso_penalty
 from conet.numerics import derive_rng, sigmoid
 from conet.training import (
     Adam,
     TrainConfig,
     Trainer,
     cross_entropy_from_logits,
-    cross_entropy_loss,
     fit,
-    joint_loss,
     make_scorer,
-    pair_source_item,
     proximal_l1,
     sparsity_ratio,
 )
 
-from conftest import make_cross_domain
+from conftest import cross_entropy_loss, make_cross_domain
 
 
 def small_model(arch="conet", lam=0.1, sizes=None, seed=0):
@@ -37,23 +34,25 @@ def split():
     return loo_split(make_cross_domain(num_users=12), derive_rng(0, "split"))
 
 
-def sizes_of(split):
-    return DomainSizes(split.train.num_users, split.train.target.num_items,
-                       split.train.source.num_items)
+sizes_of = DomainSizes.from_split
 
 
 class TestCrossEntropy:
+    """The training loss against the probability-form oracle."""
+
     def test_maximal_uncertainty(self):
         n = 7
-        loss = cross_entropy_loss(np.full(n, 0.5), np.ones(n))
+        loss = cross_entropy_from_logits(np.zeros(n), np.ones(n))
         assert loss == pytest.approx(n * math.log(2), abs=1e-12)
+        assert loss == pytest.approx(cross_entropy_loss(np.full(n, 0.5), np.ones(n)), abs=1e-12)
 
     def test_perfect_prediction_limit(self):
-        loss = cross_entropy_loss(np.array([1 - 1e-15, 1e-15]), np.array([1.0, 0.0]))
+        loss = cross_entropy_from_logits(np.array([40.0, -40.0]), np.array([1.0, 0.0]))
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
-        assert cross_entropy_loss(np.array([0.8]), np.array([1.0])) == pytest.approx(
+        logit = math.log(0.8 / 0.2)
+        assert cross_entropy_from_logits(np.array([logit]), np.array([1.0])) == pytest.approx(
             0.22314355, abs=1e-8)
 
     def test_logit_form_matches_probability_form(self):
@@ -70,14 +69,33 @@ class TestCrossEntropy:
 
 
 class TestJointLoss:
+    """The objective's terms: both domain losses plus the sparsity penalty."""
+
     def test_zero_penalty_is_plain_sum(self):
-        assert joint_loss(1.0, 2.0, 0.0) == 3.0
+        # Backprop of the two-sided loss is the sum of the one-sided passes.
+        model = small_model(sizes=DomainSizes(7, 5, 6), seed=1)
+        users = np.array([0, 3, 6, 2])
+        trace = model.forward_batch(users, np.array([1, 2, 3, 4]), np.array([5, 0, 1, 2]))
+        labels_t, labels_s = np.array([1.0, 0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0, 1.0])
+        both = model.backward_batch(trace, labels_target=labels_t, labels_source=labels_s)
+        target = model.backward_batch(trace, labels_target=labels_t)
+        source = model.backward_batch(trace, labels_source=labels_s)
+        for name in both:
+            assert np.allclose(both[name], target[name] + source[name], rtol=1e-12, atol=1e-15)
 
-    def test_all_zero(self):
-        assert joint_loss(0.0, 0.0, 0.0) == 0.0
+    def test_all_zero(self, split):
+        # mlp has no source loss and no transfer matrices to penalise.
+        model = small_model("mlp", lam=0.1, sizes=sizes_of(split))
+        stats = Trainer(model, split, TrainConfig(epochs=1, batch_size=16, seed=0)).train_epoch()
+        assert stats.loss_source == 0.0 and stats.penalty == 0.0
+        assert stats.loss_target > 0.0
 
-    def test_arithmetic(self):
-        assert joint_loss(1.5, 2.5, 0.6) == pytest.approx(4.6, abs=1e-15)
+    def test_arithmetic(self, split):
+        model = small_model(lam=0.6, sizes=sizes_of(split))
+        stats = Trainer(model, split, TrainConfig(epochs=1, batch_size=16, seed=0)).train_epoch()
+        by_hand = 0.6 * sum(float(np.abs(h).sum()) for h in model.transfer_matrices())
+        assert stats.penalty == pytest.approx(by_hand, rel=1e-12)
+        assert stats.penalty == lasso_penalty(model.transfer_matrices(), 0.6)
 
 
 class TestAdam:
@@ -171,6 +189,8 @@ class TestSparsityRatio:
 
 
 class TestPairSourceItem:
+    """Cross-domain pairing as the trainer (train mode) and scorer (eval mode) do it."""
+
     def make_split(self, source_adj):
         data = CrossDomainDataset(
             target=InteractionDataset(len(source_adj), 120,
@@ -179,29 +199,43 @@ class TestPairSourceItem:
         )
         return loo_split(data, derive_rng(0, "s"))
 
+    def trainer(self, split, seed=0):
+        return Trainer(small_model(sizes=sizes_of(split)), split, TrainConfig(seed=seed))
+
+    def assert_scored_with(self, split, user, source_item):
+        model = small_model(sizes=sizes_of(split))
+        items = np.arange(5)
+        scored = make_scorer(model, split).score_items(user, items)
+        assert np.array_equal(scored, model.score_items(user, items, source_item))
+        return scored
+
     def test_single_interaction_forced_in_both_modes(self):
         split = self.make_split([[7], [7]])
-        rng = derive_rng(0, "p")
-        assert pair_source_item(split, 0, rng, "train") == 7
-        assert pair_source_item(split, 0, mode="eval") == 7
+        paired = self.trainer(split)._paired_items("target", np.zeros(5, dtype=np.int64))
+        assert paired.tolist() == [7] * 5
+        self.assert_scored_with(split, 0, 7)
 
     def test_eval_mode_deterministic_smallest(self):
         split = self.make_split([[9, 4, 30], [1]])
-        assert pair_source_item(split, 0, mode="eval") == 4
-        assert pair_source_item(split, 0, mode="eval") == 4
+        first = self.assert_scored_with(split, 0, 4)
+        assert np.array_equal(first, self.assert_scored_with(split, 0, 4))
 
     def test_no_source_history_sentinel_still_scores(self):
         split = self.make_split([[3], []])
-        assert pair_source_item(split, 1, mode="eval") == -1
-        model = small_model(sizes=sizes_of(split))
-        scorer = make_scorer(model, split)
-        probs = scorer.score_items(1, np.arange(5))
+        paired = self.trainer(split)._paired_items("target", np.array([1, 0]))
+        assert paired.tolist() == [-1, 3]
+        probs = self.assert_scored_with(split, 1, -1)
         assert np.all((probs > 0) & (probs < 1))
 
     def test_train_mode_needs_rng(self):
-        split = self.make_split([[3], [4]])
-        with pytest.raises(ConfigError):
-            pair_source_item(split, 0, mode="train")
+        # Train-mode pairs come from the trainer's seeded pairing stream:
+        # uniform over the user's items, reproducible per seed.
+        split = self.make_split([[9, 4, 30], [1]])
+        users = np.zeros(300, dtype=np.int64)
+        first = self.trainer(split, seed=3)._paired_items("target", users)
+        assert np.array_equal(first, self.trainer(split, seed=3)._paired_items("target", users))
+        assert not np.array_equal(first, self.trainer(split, seed=4)._paired_items("target", users))
+        assert sorted(set(first.tolist())) == [4, 9, 30]
 
 
 class TestTrainer:
@@ -287,6 +321,13 @@ class TestTrainer:
         trainer = Trainer(model, split, TrainConfig(epochs=1, batch_size=16, seed=0))
         with pytest.raises(NumericError):
             trainer.train_epoch()
+
+    def test_empty_validation_gives_nan_metrics(self, split):
+        only_test = LooSplit(train=split.train, test=split.test, validation={},
+                             eval_negatives=split.eval_negatives)
+        model = small_model(sizes=sizes_of(split))
+        stats = Trainer(model, only_test, TrainConfig(epochs=1, batch_size=16, seed=0)).train_epoch()
+        assert math.isnan(stats.val_ndcg) and math.isnan(stats.val_hr)
 
     def test_epoch_stats_json_round_trip(self, split):
         model = small_model(sizes=sizes_of(split))
