@@ -333,7 +333,7 @@ def cmd_lambda_sweep(config: RunConfig, lambdas) -> int:
 
 
 def cmd_reduce_study(config: RunConfig, levels) -> int:
-    if levels is None or not len(levels):
+    if not levels:
         raise ConfigError("reduce-study needs --levels, e.g. --levels 0,1,2")
     return _run_study(config, "reduce-study", studies.reduce_study, levels)
 
@@ -396,16 +396,12 @@ def _config_from_args(args) -> RunConfig:
     return load_run_config(args.config, overrides)
 
 
-def _csv_floats(text):
-    return [float(v) for v in text.replace(" ", "").split(",") if v]
-
-
-def _csv_ints(text):
-    return [int(v) for v in text.replace(" ", "").split(",") if v]
-
-
-def _csv_strs(text):
-    return [v for v in text.replace(" ", "").split(",") if v]
+def _csv(text: str, convert, flag: str) -> list:
+    """The comma-separated values of a list-valued flag."""
+    try:
+        return [convert(v) for v in text.replace(" ", "").split(",") if v]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: cannot read {text!r} ({exc})") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,17 +424,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="train several architectures on one split")
     _add_config_flags(p)
-    p.add_argument("--archs", type=_csv_strs, required=True,
+    p.add_argument("--archs", required=True,
                    help="comma list from: " + ",".join(studies.ARCH_CHOICES))
     p.add_argument("--baseline", default=None)
 
     p = sub.add_parser("lambda-sweep", help="sweep the sparsity penalty")
     _add_config_flags(p)
-    p.add_argument("--lambdas", type=_csv_floats, required=True)
+    p.add_argument("--lambdas", required=True)
 
     p = sub.add_parser("reduce-study", help="reduce target training data per user")
     _add_config_flags(p)
-    p.add_argument("--levels", type=_csv_ints, required=True)
+    p.add_argument("--levels", required=True)
 
     p = sub.add_parser("sparsity-report", help="zero-entry ratios of transfer matrices")
     _add_config_flags(p)
@@ -460,11 +456,11 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(config, args.checkpoint, args.partition)
         if args.command == "compare":
-            return cmd_compare(config, args.archs, args.baseline)
+            return cmd_compare(config, _csv(args.archs, str, "--archs"), args.baseline)
         if args.command == "lambda-sweep":
-            return cmd_lambda_sweep(config, args.lambdas)
+            return cmd_lambda_sweep(config, _csv(args.lambdas, float, "--lambdas"))
         if args.command == "reduce-study":
-            return cmd_reduce_study(config, args.levels)
+            return cmd_reduce_study(config, _csv(args.levels, int, "--levels"))
         if args.command == "sparsity-report":
             return cmd_sparsity_report(config, args.checkpoint, args.history)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -1,17 +1,25 @@
 """Interaction datasets, domain alignment, leave-one-out splits and sampling.
 
-A dataset is a set of binary user-item interactions over dense indices.
-Two aligned datasets over one shared user index space form a
-:class:`CrossDomainDataset`; the leave-one-out split holds out one test
-and one validation interaction per target-domain user and freezes the 99
-ranking negatives so that every model is evaluated on identical
-candidates.
+A dataset is a set of binary user-item interactions over dense indices,
+stored once as CSR (``indptr``, ``indices``) with the matching sorted
+user-major keys ``u * num_items + i``; batches, pairing, membership tests
+and train-set edits work on those arrays. Two aligned datasets over one
+shared user index space form a :class:`CrossDomainDataset`; the
+leave-one-out split holds out one test and one validation interaction per
+target-domain user and freezes the 99 ranking negatives so that every
+model is evaluated on identical candidates.
+
+Batch negatives are drawn for a whole batch at once but consume the
+seeded stream exactly as drawing slot by slot until each slot accepts
+would, so batches, splits and every artifact built on them are the same
+bits as with a per-example sampler.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -43,52 +51,97 @@ MIN_EVAL_INTERACTIONS = 3  # 1 test + 1 validation + at least 1 train
 
 
 class InteractionDataset:
-    """Binary implicit-feedback interactions of one domain.
+    """Binary implicit-feedback interactions of one domain, stored as CSR.
 
-    Stores a per-user sorted adjacency over dense indices. Optional
-    ``user_ids`` / ``item_ids`` keep the external identifiers so that two
-    domains can later be aligned over their shared users.
+    User ``u``'s items are ``indices[indptr[u]:indptr[u + 1]]``, ascending;
+    ``keys`` holds the same interactions as the sorted user-major keys
+    ``u * num_items + i`` that membership tests search. The arrays are
+    read-only. Optional ``user_ids`` / ``item_ids`` keep the external
+    identifiers so that two domains can later be aligned over their
+    shared users.
     """
 
     def __init__(self, num_users, num_items, adjacency, user_ids=None, item_ids=None):
+        rows = [np.asarray(items, dtype=np.int64).ravel() for items in adjacency]
+        if len(rows) != num_users:
+            raise DataError("adjacency length does not match num_users")
+        users = np.repeat(np.arange(len(rows), dtype=np.int64), [r.size for r in rows])
+        items = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+        self._store(num_users, num_items, users, items, user_ids, item_ids)
+
+    @classmethod
+    def from_pairs(cls, num_users, num_items, users, items, user_ids=None, item_ids=None):
+        """Dataset of the ``(users[k], items[k])`` interactions, in any order."""
+        dataset = cls.__new__(cls)
+        dataset._store(num_users, num_items, users, items, user_ids, item_ids)
+        return dataset
+
+    def _store(self, num_users, num_items, users, items, user_ids, item_ids):
+        # The one validating path: every dataset is built here.
         if num_users < 1 or num_items < 1:
             raise DataError("dataset needs at least one user and one item")
-        if len(adjacency) != num_users:
-            raise DataError("adjacency length does not match num_users")
         self.num_users = int(num_users)
         self.num_items = int(num_items)
-        self.adjacency = []
-        for u, items in enumerate(adjacency):
-            arr = np.asarray(items, dtype=np.int64)
-            if arr.size and (arr.min() < 0 or arr.max() >= num_items):
-                raise DataError(f"user {u} has an item index out of range")
-            if np.unique(arr).size != arr.size:
-                raise DataError(f"user {u} has duplicate interactions")
-            self.adjacency.append(np.sort(arr))
+        users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
+        bad = np.flatnonzero((users < 0) | (users >= num_users)
+                             | (items < 0) | (items >= num_items))
+        if bad.size:
+            u, i = users[bad[0]], items[bad[0]]
+            raise DataError(f"interaction (user {u}, item {i}) is out of range")
+        keys = np.sort(self._keys_of(users, items))
+        repeated = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeated.size:
+            raise DataError(f"user {keys[repeated[0]] // num_items} has duplicate interactions")
+        self.keys = keys
+        self.indices = keys % num_items
+        self.indptr = np.searchsorted(keys, np.arange(num_users + 1, dtype=np.int64) * num_items)
+        for arr in (self.keys, self.indices, self.indptr):
+            arr.flags.writeable = False
         self.user_ids = tuple(user_ids) if user_ids is not None else None
         self.item_ids = tuple(item_ids) if item_ids is not None else None
 
     @property
     def num_interactions(self) -> int:
-        return sum(a.size for a in self.adjacency)
+        return int(self.keys.size)
 
     @property
     def density(self) -> float:
         return self.num_interactions / (self.num_users * self.num_items)
 
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    @cached_property
+    def adjacency(self) -> list:
+        """Per-user read-only views of ``indices``."""
+        return np.split(self.indices, self.indptr[1:-1])
+
     def items_of(self, user: int) -> np.ndarray:
-        return self.adjacency[user]
+        return self.indices[self.indptr[user] : self.indptr[user + 1]]
 
     def pairs(self) -> np.ndarray:
         """All (user, item) pairs, user-major, items ascending. Shape (N, 2)."""
-        chunks = [
-            np.column_stack([np.full(a.size, u, dtype=np.int64), a])
-            for u, a in enumerate(self.adjacency)
-            if a.size
-        ]
-        if not chunks:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.concatenate(chunks, axis=0)
+        return np.column_stack(np.divmod(self.keys, self.num_items))
+
+    def _keys_of(self, users, items) -> np.ndarray:
+        users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
+        return users * self.num_items + items
+
+    def contains(self, users, items) -> np.ndarray:
+        """Whether each ``users[k]`` interacted with ``items[k]`` (broadcast)."""
+        query = self._keys_of(users, items)
+        if not self.keys.size:
+            return np.zeros(query.shape, dtype=bool)
+        # The last key not above each query; -1 wraps to the largest key,
+        # which is above it.
+        return self.keys[np.searchsorted(self.keys, query, side="right") - 1] == query
+
+    def without(self, users, items) -> "InteractionDataset":
+        """A copy less the given interactions; pairs it does not hold are ignored."""
+        keys = self.keys[~np.isin(self.keys, self._keys_of(users, items))]
+        return InteractionDataset.from_pairs(self.num_users, self.num_items, keys // self.num_items,
+                                             keys % self.num_items, self.user_ids, self.item_ids)
 
 
 @dataclass
@@ -140,6 +193,20 @@ class Batch:
 # Ingestion
 
 
+def _first_appearance(rows, user_ids, item_names) -> InteractionDataset:
+    # ``rows`` holds each user's integer item keys; items get dense indices
+    # in order of first appearance over the rows walked user-major, and
+    # item key ``k`` keeps ``item_names[k]`` as its external id.
+    users = np.repeat(np.arange(len(rows), dtype=np.int64), [len(r) for r in rows])
+    keys = np.concatenate(rows).astype(np.int64, copy=False)
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    index = np.empty_like(order)
+    index[order] = np.arange(order.size)
+    return InteractionDataset.from_pairs(len(rows), order.size, users, index[inverse], user_ids,
+                                         [item_names[k] for k in distinct[order].tolist()])
+
+
 def load_interactions(path, min_user_interactions: int = 3) -> InteractionDataset:
     """Load a tab-separated interaction log into a dense-index dataset.
 
@@ -150,46 +217,24 @@ def load_interactions(path, min_user_interactions: int = 3) -> InteractionDatase
     the surviving users and items get dense indices in first-appearance
     order.
     """
-    per_user: dict = {}
-    order: list = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2 or not parts[0] or not parts[1]:
-                raise DataError(f"{path}: malformed line {lineno}: {line!r}")
-            user, item = parts[0], parts[1]
-            if user not in per_user:
-                per_user[user] = []
-                order.append(user)
-            per_user[user].append(item)
-    kept = [u for u in order if len(set(per_user[u])) >= min_user_interactions]
+    per_user: dict = {}  # user -> its items' file-order codes, in order, once each
+    codes: dict = {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split("\t")
+                if len(parts) < 2 or not parts[0] or not parts[1]:
+                    raise DataError(f"{path}: malformed line {lineno}: {line!r}")
+                per_user.setdefault(parts[0], {})[codes.setdefault(parts[1], len(codes))] = None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+    kept = [u for u, items in per_user.items() if len(items) >= min_user_interactions]
     if not kept:
         raise DataError(f"{path}: no interactions left after filtering")
-
-    user_index = {u: k for k, u in enumerate(kept)}
-    item_index: dict = {}
-    item_ids: list = []
-    adjacency = [[] for _ in kept]
-    for u in kept:
-        seen = set()
-        for item in per_user[u]:
-            if item in seen:
-                continue
-            seen.add(item)
-            if item not in item_index:
-                item_index[item] = len(item_ids)
-                item_ids.append(item)
-            adjacency[user_index[u]].append(item_index[item])
-    return InteractionDataset(
-        num_users=len(kept),
-        num_items=len(item_ids),
-        adjacency=adjacency,
-        user_ids=kept,
-        item_ids=item_ids,
-    )
+    return _first_appearance([list(per_user[u]) for u in kept], kept, list(codes))
 
 
 def write_interactions(dataset: InteractionDataset, path) -> None:
@@ -203,9 +248,7 @@ def write_interactions(dataset: InteractionDataset, path) -> None:
     uids = dataset.user_ids or [str(u) for u in range(dataset.num_users)]
     iids = dataset.item_ids or [str(i) for i in range(dataset.num_items)]
     with open(path, "w", encoding="utf-8") as fh:
-        for u in range(dataset.num_users):
-            for i in dataset.adjacency[u]:
-                fh.write(f"{uids[u]}\t{iids[int(i)]}\n")
+        fh.writelines(f"{uids[u]}\t{iids[i]}\n" for u, i in dataset.pairs().tolist())
 
 
 def align_domains(target: InteractionDataset, source: InteractionDataset) -> CrossDomainDataset:
@@ -223,25 +266,8 @@ def align_domains(target: InteractionDataset, source: InteractionDataset) -> Cro
         raise DataError("no users shared between the two domains")
 
     def rebuild(ds, users_old):
-        item_map: dict = {}
-        item_ids: list = []
-        adjacency = []
-        for old_u in users_old:
-            row = []
-            for old_i in ds.adjacency[old_u]:
-                old_i = int(old_i)
-                if old_i not in item_map:
-                    item_map[old_i] = len(item_ids)
-                    item_ids.append(ds.item_ids[old_i] if ds.item_ids else str(old_i))
-                row.append(item_map[old_i])
-            adjacency.append(row)
-        return InteractionDataset(
-            num_users=len(users_old),
-            num_items=len(item_ids),
-            adjacency=adjacency,
-            user_ids=shared,
-            item_ids=item_ids,
-        )
+        return _first_appearance([ds.items_of(u) for u in users_old], shared,
+                                 ds.item_ids or [str(i) for i in range(ds.num_items)])
 
     target_old = {u: k for k, u in enumerate(target.user_ids)}
     new_target = rebuild(target, [target_old[u] for u in shared])
@@ -279,41 +305,35 @@ def loo_split(data: CrossDomainDataset, rng: np.random.Generator) -> LooSplit:
     test: dict = {}
     validation: dict = {}
     negatives: dict = {}
-    train_adj = []
-    for u in range(target.num_users):
-        items = target.items_of(u)
-        if items.size < MIN_EVAL_INTERACTIONS:
-            train_adj.append(items.copy())
-            continue
-        picked = rng.choice(items, size=2, replace=False)
-        test_item, val_item = int(picked[0]), int(picked[1])
-        test[u] = test_item
-        validation[u] = val_item
-        keep = items[(items != test_item) & (items != val_item)]
-        train_adj.append(keep)
+    for u in np.flatnonzero(target.degrees >= MIN_EVAL_INTERACTIONS).tolist():
+        test[u], validation[u] = rng.choice(target.items_of(u), size=2, replace=False).tolist()
         negatives[u] = sample_eval_negatives(target, u, rng)
-    train_target = InteractionDataset(
-        num_users=target.num_users,
-        num_items=target.num_items,
-        adjacency=train_adj,
-        user_ids=target.user_ids,
-        item_ids=target.item_ids,
-    )
-    train = CrossDomainDataset(target=train_target, source=data.source)
-    return LooSplit(train=train, test=test, validation=validation, eval_negatives=negatives)
+    return _held_out(data, test, validation, negatives)
+
+
+def _held_out(data: CrossDomainDataset, test: dict, validation: dict, negatives: dict) -> LooSplit:
+    # The split whose target train set lacks every held-out item.
+    users = list(test)
+    target = data.target.without(users * 2, list(test.values()) + [validation[u] for u in users])
+    return LooSplit(train=CrossDomainDataset(target=target, source=data.source),
+                    test=test, validation=validation, eval_negatives=negatives)
 
 
 # ---------------------------------------------------------------------------
 # Training batches
 
 
-def _draw_negative(adjacency: np.ndarray, num_items: int, rng) -> int:
-    # Rejection sampling stays uniform over the non-interacted items.
-    while True:
-        j = int(rng.integers(num_items))
-        pos = np.searchsorted(adjacency, j)
-        if pos >= adjacency.size or adjacency[pos] != j:
-            return j
+def _negatives(dataset: InteractionDataset, users: np.ndarray, rng) -> np.ndarray:
+    # Rejection sampling stays uniform over the non-interacted items. One
+    # draw per slot; at the first rejected slot, it and every later slot
+    # move on to the next draw. These are the draws a slot-by-slot loop
+    # that redraws each slot until it accepts would make, in its order.
+    items = rng.integers(dataset.num_items, size=users.size)
+    first = 0
+    while (rejected := np.flatnonzero(dataset.contains(users[first:], items[first:]))).size:
+        first += rejected[0]
+        items[first:] = np.append(items[first + 1 :], rng.integers(dataset.num_items))
+    return items
 
 
 def epoch_batches(
@@ -337,27 +357,22 @@ def epoch_batches(
     pairs = dataset.pairs()
     if pairs.shape[0] == 0:
         raise DataError(f"{domain} domain has no training interactions")
+    full = np.flatnonzero(dataset.degrees == dataset.num_items)
+    if negative_ratio and full.size:
+        user = dataset.user_ids[full[0]] if dataset.user_ids else int(full[0])
+        raise DataError(f"{domain} domain: user {user!r} holds all {dataset.num_items} items, "
+                        "so no negative can be drawn")
     order = rng.permutation(pairs.shape[0])
+    per_positive = 1 + negative_ratio
     for start in range(0, order.size, batch_size):
         chunk = pairs[order[start : start + batch_size]]
-        users = []
-        items = []
-        labels = []
-        for u, i in chunk:
-            users.append(u)
-            items.append(i)
-            labels.append(1)
-            adj = dataset.items_of(int(u))
-            for _ in range(negative_ratio):
-                users.append(u)
-                items.append(_draw_negative(adj, dataset.num_items, rng))
-                labels.append(0)
-        yield Batch(
-            domain=domain,
-            users=np.asarray(users, dtype=np.int64),
-            items=np.asarray(items, dtype=np.int64),
-            labels=np.asarray(labels, dtype=np.float64),
-        )
+        users = np.repeat(chunk[:, 0], per_positive)
+        items = np.repeat(chunk[:, 1], per_positive)
+        negative = np.arange(users.size) % per_positive != 0
+        if negative_ratio:
+            items[negative] = _negatives(dataset, users[negative], rng)
+        yield Batch(domain=domain, users=users, items=items,
+                    labels=(~negative).astype(np.float64))
 
 
 def num_batches(dataset: InteractionDataset, batch_size: int) -> int:
@@ -447,21 +462,6 @@ def _force_full_coverage(chosen: list, scores: np.ndarray) -> None:
         holders[j] += 1
 
 
-def _relabel_first_appearance(chosen: list, n_items: int, prefix: str):
-    # Reassign item indices in user-major first-appearance order, which is
-    # exactly the order load_interactions would assign after a write.
-    mapping = {}
-    for items in chosen:
-        for old in sorted(items):
-            if old not in mapping:
-                mapping[old] = len(mapping)
-    adjacency = [[mapping[i] for i in items] for items in chosen]
-    item_ids = [""] * len(mapping)
-    for old, new in mapping.items():
-        item_ids[new] = f"{prefix}{old}"
-    return adjacency, item_ids
-
-
 def generate_synthetic(config: SyntheticConfig) -> CrossDomainDataset:
     """Build an aligned two-domain dataset from a shared latent factor model.
 
@@ -485,14 +485,9 @@ def generate_synthetic(config: SyntheticConfig) -> CrossDomainDataset:
         scores = domain_users @ item_factors.T
         chosen = _top_items_per_user(scores, count)
         _force_full_coverage(chosen, scores)
-        adjacency, item_ids = _relabel_first_appearance(chosen, n_items, prefix)
-        return InteractionDataset(
-            num_users=m,
-            num_items=n_items,
-            adjacency=adjacency,
-            user_ids=[f"u{u}" for u in range(m)],
-            item_ids=item_ids,
-        )
+        # Items renumbered in the order load_interactions gives after a write.
+        return _first_appearance([sorted(items) for items in chosen], [f"u{u}" for u in range(m)],
+                                 [f"{prefix}{old}" for old in range(n_items)])
 
     target = build(user_factors, config.num_items_target, config.target_density, "t")
     source = build(source_user_factors, config.num_items_source, config.source_density, "s")
@@ -527,32 +522,22 @@ def reduce_training(split: LooSplit, per_user_removal: int, rng: np.random.Gener
     total_before = target.num_interactions
     if per_user_removal == 0:
         return ReductionResult(split=split, removed=0, total_before=total_before)
-    adjacency = []
-    removed = 0
-    for u in range(target.num_users):
-        items = target.items_of(u)
-        k = min(per_user_removal, items.size - 1)
-        if k <= 0:
-            adjacency.append(items.copy())
-            continue
-        drop = set(int(i) for i in rng.choice(items, size=k, replace=False))
-        adjacency.append(np.asarray([i for i in items if int(i) not in drop], dtype=np.int64))
-        removed += k
-    reduced_target = InteractionDataset(
-        num_users=target.num_users,
-        num_items=target.num_items,
-        adjacency=adjacency,
-        user_ids=target.user_ids,
-        item_ids=target.item_ids,
-    )
-    train = CrossDomainDataset(target=reduced_target, source=split.train.source)
+    degrees = target.degrees
+    users: list = []
+    items: list = []
+    for u in np.flatnonzero(degrees > 1).tolist():
+        drop = rng.choice(target.items_of(u), size=min(per_user_removal, degrees[u] - 1),
+                          replace=False)
+        users += [u] * drop.size
+        items += drop.tolist()
+    train = CrossDomainDataset(target=target.without(users, items), source=split.train.source)
     new_split = LooSplit(
         train=train,
         test=dict(split.test),
         validation=dict(split.validation),
         eval_negatives={u: v.copy() for u, v in split.eval_negatives.items()},
     )
-    return ReductionResult(split=new_split, removed=removed, total_before=total_before)
+    return ReductionResult(split=new_split, removed=len(items), total_before=total_before)
 
 
 # ---------------------------------------------------------------------------
@@ -640,34 +625,10 @@ def load_split_manifest(data: CrossDomainDataset, path) -> LooSplit:
     _reject_rows((neg < 0) | (neg >= n), users, f"has a negative outside 0..{n - 1}")
     ordered = np.sort(neg, axis=1)
     _reject_rows(ordered[:, 1:] == ordered[:, :-1], users, "repeats a negative")
-    # Adjacency is sorted per user, so the user-major keys come out sorted;
-    # the closing sentinel exceeds every query, keeping lookups in range.
-    adjacency = data.target.adjacency
-    degrees = np.fromiter((a.size for a in adjacency), dtype=np.int64, count=len(adjacency))
-    keys = np.append(np.repeat(np.arange(data.num_users, dtype=np.int64), degrees) * n
-                     + np.concatenate(adjacency), data.num_users * n)
-    query = users[:, None] * n + neg
-    _reject_rows(keys[np.searchsorted(keys, query)] == query, users,
+    _reject_rows(data.target.contains(users[:, None], neg), users,
                  "has a negative it interacted with")
-
-    held_items = dict(zip(users.tolist(), held.tolist()))
-    train_adj = []
-    for u, items in enumerate(adjacency):
-        t, v = held_items.get(u, (-1, -1))
-        train_adj.append(items[(items != t) & (items != v)])
-        if u in held_items and train_adj[-1].size != items.size - 2:
-            raise DataError(f"split manifest: user {u} holds out an item it never interacted with")
-    train_target = InteractionDataset(
-        num_users=data.num_users,
-        num_items=data.target.num_items,
-        adjacency=train_adj,
-        user_ids=data.target.user_ids,
-        item_ids=data.target.item_ids,
-    )
-    train = CrossDomainDataset(target=train_target, source=data.source)
-    return LooSplit(
-        train=train,
-        test={u: t for u, (t, _) in held_items.items()},
-        validation={u: v for u, (_, v) in held_items.items()},
-        eval_negatives=dict(zip(users.tolist(), neg)),
-    )
+    _reject_rows(~data.target.contains(users[:, None], held), users,
+                 "holds out an item it never interacted with")
+    evaluated = users.tolist()
+    return _held_out(data, dict(zip(evaluated, held[:, 0].tolist())),
+                     dict(zip(evaluated, held[:, 1].tolist())), dict(zip(evaluated, neg)))

@@ -355,6 +355,8 @@ class Model:
         """
         users = _as_index_array(users)
         items = [_as_index_array(v) for v in (items_target, items_source)[: len(self.towers)]]
+        if users.min(initial=0) < 0 or min(it.min(initial=-1) for it in items) < -1:
+            raise IndexError("user indices must be >= 0 and item indices >= -1 (no item)")
         p = self.params
         acts = [_merge_embeddings(p[t.user], p[t.items], users, it)
                 for t, it in zip(self.towers, items)]

@@ -148,24 +148,6 @@ def sparsity_ratio(h: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Cross-domain item pairing
-
-
-def _pair_item(dataset, user: int, rng, mode: str) -> int:
-    # The item riding along with an example of the other domain: uniform
-    # over the user's interactions in train mode, the smallest index in
-    # eval mode, and the sentinel -1 for a user without history there.
-    items = dataset.items_of(user)
-    if items.size == 0:
-        return -1  # sentinel: zero item-embedding half
-    if mode == "eval":
-        return int(items[0])  # adjacency is sorted, so smallest index
-    if mode == "train":
-        return int(items[rng.integers(items.size)])
-    raise ConfigError(f"unknown pairing mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
 # Epoch statistics
 
 
@@ -223,8 +205,8 @@ class ModelScorer:
         if self.model.dual:
             if self.source_train is None:
                 raise ConfigError("coupled models need the source train set for scoring")
-            j = _pair_item(self.source_train, user, None, "eval")
-            return self.model.score_items(user, items, j)
+            history = self.source_train.items_of(user)  # ascending
+            return self.model.score_items(user, items, int(history[0]) if history.size else -1)
         return self.model.score_items(user, items)
 
 
@@ -275,11 +257,16 @@ class Trainer:
 
     def _paired_items(self, domain: str, users: np.ndarray) -> np.ndarray:
         # For a target batch, pick one source item per example (and vice
-        # versa) so the coupled forward pass has both inputs.
+        # versa) so the coupled forward pass has both inputs: uniform over
+        # the user's interactions there, or the sentinel -1 (a zero item
+        # half) for a user without history there, who takes no draw.
         other = self.split.train.source if domain == "target" else self.split.train.target
-        rng = self._pair_rng[domain]
-        return np.asarray([_pair_item(other, int(u), rng, "train") for u in users],
-                          dtype=np.int64)
+        starts = other.indptr[users]
+        degrees = other.indptr[users + 1] - starts
+        held = degrees > 0
+        paired = np.full(users.size, -1, dtype=np.int64)
+        paired[held] = other.indices[starts[held] + self._pair_rng[domain].integers(degrees[held])]
+        return paired
 
     def _train_step(self, domain: str, step: int) -> tuple:
         model = self.model

@@ -71,6 +71,43 @@ def has(dataset, user, item):
     return item in dataset.items_of(user)
 
 
+def reference_batches(dataset, batch_size, negative_ratio, rng):
+    """Per-slot batch sampler: ``(users, items, labels)`` of one epoch.
+
+    Shuffles the user-major positives, then draws each negative slot in
+    turn, one scalar draw at a time, until it misses the user's items.
+    """
+    pairs = np.asarray([(u, int(i)) for u in range(dataset.num_users)
+                        for i in dataset.items_of(u)], dtype=np.int64).reshape(-1, 2)
+    order = rng.permutation(len(pairs))
+    for start in range(0, order.size, batch_size):
+        users, items, labels = [], [], []
+        for u, i in pairs[order[start : start + batch_size]]:
+            users.append(u)
+            items.append(i)
+            labels.append(1.0)
+            adjacency = dataset.items_of(int(u))
+            for _ in range(negative_ratio):
+                while True:
+                    j = int(rng.integers(dataset.num_items))
+                    pos = np.searchsorted(adjacency, j)
+                    if pos >= adjacency.size or adjacency[pos] != j:
+                        break
+                users.append(u)
+                items.append(j)
+                labels.append(0.0)
+        yield np.asarray(users), np.asarray(items), np.asarray(labels)
+
+
+def reference_pairing(dataset, users, rng):
+    """Per-example train pairing: a uniform item of each user's, or -1 without a draw."""
+    paired = []
+    for u in users:
+        items = dataset.items_of(int(u))
+        paired.append(int(items[rng.integers(items.size)]) if items.size else -1)
+    return np.asarray(paired, dtype=np.int64)
+
+
 def same_interactions(a, b):
     """True when two datasets hold the same users, items and adjacency."""
     return (a.num_users == b.num_users and a.num_items == b.num_items

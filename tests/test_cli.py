@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conet.checkpoint import load_checkpoint, save_checkpoint
 from conet.cli import load_run_config, main
@@ -304,6 +305,28 @@ class TestMalformedInput:
         code = main(["train", flag, value, "--out", str(tmp_path / "o")])
         self.assert_one_line_error(capsys, code, 2)
 
+    @pytest.mark.parametrize("verb,flag,value", [("compare", "--archs", "mlp,nope"),
+                                                 ("lambda-sweep", "--lambdas", "0,x"),
+                                                 ("reduce-study", "--levels", "0,1.5")])
+    def test_bad_list_flag_value_is_config_error(self, tmp_path, capsys, verb, flag, value):
+        data = generate(tmp_path)
+        capsys.readouterr()
+        code = main([verb, flag, value, *NET_FLAGS, *FAST_FLAGS,
+                     "--target", str(data / "target.tsv"), "--source", str(data / "source.tsv"),
+                     "--out", str(tmp_path / "o")])
+        self.assert_one_line_error(capsys, code, 2)
+
+    def test_source_user_holding_every_item_is_data_error(self, tmp_path, capsys):
+        # No negative exists for such a user; training must stop, not spin.
+        data = generate(tmp_path)
+        users = {line.split("\t")[0] for line in (data / "target.tsv").read_text().splitlines()}
+        source = tmp_path / "only.tsv"
+        source.write_text("".join(f"{u}\tonly\n" for u in sorted(users)))
+        capsys.readouterr()
+        code = main(["train", *NET_FLAGS, *FAST_FLAGS, "--target", str(data / "target.tsv"),
+                     "--source", str(source), "--out", str(tmp_path / "o")])
+        self.assert_one_line_error(capsys, code, 3)
+
     def evaluate(self, tmp_path, data, run, checkpoint=None):
         return main([
             "evaluate", "--checkpoint", str(checkpoint or run / "model.ckpt"),
@@ -334,3 +357,57 @@ class TestMalformedInput:
         history.write_text('{"epoch": 1, "h_zero_ratios": [0.5]}\n{not json\n')
         code = main(["sparsity-report", "--history", str(history), "--out", str(tmp_path / "sp")])
         self.assert_one_line_error(capsys, code, 3)
+
+
+@pytest.fixture(scope="module")
+def frozen_run(tmp_path_factory):
+    """Generated data, an untrained checkpoint and its valid split manifest."""
+    tmp_path = tmp_path_factory.mktemp("frozen")
+    data = generate(tmp_path)
+    code, run = train(tmp_path, data, extra=["--epochs", "0"])
+    assert code == 0
+    return data, run
+
+
+MANIFEST_KEYS = ("num_users", "num_items_target", "num_items_source",
+                 "test", "validation", "eval_negatives")
+NON_INTEGERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3), st.none(),
+    st.lists(st.integers(0, 5), max_size=2))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(["drop_key", "sentinel", "repeat", "interacted", "out_of_range",
+                             "non_integer", "never_held"]),
+       pick=st.integers(0, 10 ** 6), junk=NON_INTEGERS)
+def test_mutated_manifest_exits_3(frozen_run, kind, pick, junk):
+    """Any one corruption of a valid split.json is a data error, never a traceback."""
+    data, run = frozen_run
+    manifest = json.loads((run / "split.json").read_text())
+    user = sorted(manifest["test"], key=int)[pick % len(manifest["test"])]
+    negatives = manifest["eval_negatives"][user]
+    slot = pick % len(negatives)
+    if kind == "drop_key":
+        del manifest[MANIFEST_KEYS[pick % len(MANIFEST_KEYS)]]
+    elif kind == "sentinel":
+        negatives[slot] = -1
+    elif kind == "repeat":
+        negatives[slot] = negatives[(slot + 1 + pick % 98) % len(negatives)]
+    elif kind == "interacted":
+        negatives[slot] = manifest[("test", "validation")[pick % 2]][user]
+    elif kind == "out_of_range":
+        n = manifest["num_items_target"]
+        negatives[slot] = n + pick % 7 if pick % 2 else -2 - pick % 7
+    elif kind == "non_integer":
+        target = (negatives, manifest["test"], manifest["validation"])[pick % 3]
+        target[slot if target is negatives else user] = junk
+    else:  # a held-out item the user never had: one of its negatives
+        manifest[("test", "validation")[pick % 2]][user] = negatives[slot]
+    mutated = run / "mutated.json"
+    mutated.write_text(json.dumps(manifest))
+    code = main([
+        "evaluate", "--checkpoint", str(run / "model.ckpt"),
+        "--target", str(data / "target.tsv"), "--source", str(data / "source.tsv"),
+        "--split", str(mutated), "--out", str(run / "fuzz-eval"),
+    ])
+    assert code == 3

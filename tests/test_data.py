@@ -21,7 +21,7 @@ from conet.data import (
 from conet.errors import ConfigError, DataError
 from conet.numerics import derive_rng
 
-from conftest import has, same_interactions
+from conftest import has, reference_batches, same_interactions
 
 
 def make_dataset(adjacency, num_items, ids=True):
@@ -32,6 +32,39 @@ def make_dataset(adjacency, num_items, ids=True):
         user_ids=[f"u{k}" for k in range(len(adjacency))] if ids else None,
         item_ids=[f"i{k}" for k in range(num_items)] if ids else None,
     )
+
+
+class TestInteractionDataset:
+    def test_csr_layout(self):
+        ds = make_dataset([[3, 1], [], [0]], 4)
+        assert ds.indptr.tolist() == [0, 2, 2, 3]
+        assert ds.indices.tolist() == [1, 3, 0]
+        assert ds.keys.tolist() == [1, 3, 8]
+        assert ds.degrees.tolist() == [2, 0, 1]
+        assert [a.tolist() for a in ds.adjacency] == [[1, 3], [], [0]]
+        assert not ds.indices.flags.writeable and not ds.items_of(0).flags.writeable
+
+    @pytest.mark.parametrize("adjacency, problem", [
+        ([[0], [1, 4]], r"\(user 1, item 4\) is out of range"),
+        ([[0], [-1]], r"\(user 1, item -1\) is out of range"),
+        ([[0, 2], [1, 3, 1]], "user 1 has duplicate interactions"),
+    ])
+    def test_rejects_bad_rows(self, adjacency, problem):
+        with pytest.raises(DataError, match=problem):
+            make_dataset(adjacency, 4)
+
+    def test_contains_and_without(self):
+        ds = make_dataset([[1, 3], [], [0]], 4)
+        assert ds.contains([0, 0, 1, 2, 2], [1, 2, 1, 0, 3]).tolist() == [
+            True, False, False, True, False]
+        assert ds.contains(np.array([[0], [2]]), np.array([[3, 0]])).tolist() == [
+            [True, False], [False, True]]
+        smaller = ds.without([0, 2, 1], [3, 0, 2])
+        assert [a.tolist() for a in smaller.adjacency] == [[1], [], []]
+        assert not smaller.contains([0, 2], [3, 0]).any()
+        assert smaller.user_ids == ds.user_ids and smaller.item_ids == ds.item_ids
+        with pytest.raises(DataError, match=r"\(user 3, item 0\) is out of range"):
+            InteractionDataset.from_pairs(3, 4, [0, 3], [1, 0])
 
 
 class TestLoadInteractions:
@@ -54,6 +87,12 @@ class TestLoadInteractions:
         ds = load_interactions(path, min_user_interactions=1)
         assert ds.num_users == 2 and ds.num_items == 3
         assert ds.density == 0.5
+
+    def test_non_utf8_is_data_error(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"a\tx\na\t\xff\n")
+        with pytest.raises(DataError, match="t.tsv"):
+            load_interactions(path, min_user_interactions=1)
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "t.tsv"
@@ -225,6 +264,34 @@ class TestEpochBatches:
         for batch in epoch_batches(data.target, "target", 8, 0, derive_rng(2, "b")):
             seen += [(int(u), int(i)) for u, i in zip(batch.users, batch.items)]
         assert sorted(seen) == sorted(map(tuple, data.target.pairs()))
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("ratio", [0, 1, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_draws_as_per_slot_sampler(self, seed, ratio, dense):
+        # Dense rows (>= 50% of the items) make rejections frequent.
+        if dense:
+            rng = np.random.default_rng(seed)
+            rows = [rng.choice(12, rng.integers(6, 12), replace=False) for _ in range(20)]
+            dataset = make_dataset(rows, 12)
+        else:
+            dataset = small_cross_domain().target
+        ours_rng, ref_rng = derive_rng(seed, "b"), derive_rng(seed, "b")
+        ours = list(epoch_batches(dataset, "target", 16, ratio, ours_rng))
+        ref = list(reference_batches(dataset, 16, ratio, ref_rng))
+        assert len(ours) == len(ref)
+        for batch, (users, items, labels) in zip(ours, ref):
+            assert np.array_equal(batch.users, users)
+            assert np.array_equal(batch.items, items)
+            assert np.array_equal(batch.labels, labels)
+            assert batch.labels.dtype == np.float64 and batch.items.dtype == np.int64
+        assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_user_holding_every_item_is_data_error(self):
+        dataset = make_dataset([[0, 1], [1]], 2)
+        with pytest.raises(DataError, match="source domain: user 'u0' holds all 2 items"):
+            next(epoch_batches(dataset, "source", 4, 1, derive_rng(0, "b")))
+        assert len(list(epoch_batches(dataset, "source", 4, 0, derive_rng(0, "b")))) == 1
 
     def test_to_examples_view(self):
         data = small_cross_domain()

@@ -82,6 +82,10 @@ class TestEmbedLookup:
             model.forward_batch([TINY.num_users], [0])
         with pytest.raises(IndexError):
             model.forward_batch([0], [TINY.num_items_target])
+        with pytest.raises(IndexError):
+            model.forward_batch([-1], [0])
+        with pytest.raises(IndexError):
+            model.forward_batch([0], [-7])
 
 
 def coupled_pre(model, trace, tower, k):

@@ -19,7 +19,7 @@ from conet.training import (
     sparsity_ratio,
 )
 
-from conftest import cross_entropy_loss, make_cross_domain
+from conftest import cross_entropy_loss, make_cross_domain, reference_pairing
 
 
 def small_model(arch="conet", lam=0.1, sizes=None, seed=0):
@@ -236,6 +236,21 @@ class TestPairSourceItem:
         assert np.array_equal(first, self.trainer(split, seed=3)._paired_items("target", users))
         assert not np.array_equal(first, self.trainer(split, seed=4)._paired_items("target", users))
         assert sorted(set(first.tolist())) == [4, 9, 30]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_draws_as_per_example_pairing(self, seed):
+        split = self.make_split([[9, 4, 30], [], [1], [2, 3, 5, 8, 13, 21, 34], []])
+        trainer = self.trainer(split, seed=seed)
+        refs = {d: derive_rng(seed, "pairing", d) for d in ("target", "source")}
+        others = {"target": split.train.source, "source": split.train.target}
+        users = np.random.default_rng(seed).integers(0, 5, size=(6, 40))
+        for k, batch_users in enumerate(users):
+            domain = ("target", "source")[k % 2]
+            assert np.array_equal(trainer._paired_items(domain, batch_users),
+                                  reference_pairing(others[domain], batch_users, refs[domain]))
+        assert np.array_equal(trainer._paired_items("target", np.array([1, 4, 1])), [-1] * 3)
+        for d in refs:
+            assert trainer._pair_rng[d].bit_generator.state == refs[d].bit_generator.state
 
 
 class TestTrainer:
