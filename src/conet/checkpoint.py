@@ -118,6 +118,8 @@ def load_checkpoint(path):
         raise DataError(f"unsupported checkpoint format version {version}")
     architecture = reader.text()
     flags = reader.u32()
+    if flags & ~_FLAG_UNSHARED_EMBEDDING:
+        raise DataError(f"checkpoint sets unknown flags {flags:#x}")
     embedding_dim = reader.u32()
     num_widths = reader.u32()
     widths = tuple(reader.u32() for _ in range(num_widths))

@@ -144,7 +144,7 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
     if path:
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read config file {path}: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()

@@ -18,14 +18,13 @@ from typing import Protocol
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .data import LooSplit
+from .data import NUM_EVAL_NEGATIVES, LooSplit
 from .errors import ConfigError, DataError, NumericError
 
 __all__ = [
     "RankingResult",
     "MetricsReport",
     "Scorer",
-    "rank_test_item",
     "hit_ratio",
     "ndcg",
     "mrr",
@@ -38,7 +37,8 @@ DEFAULT_TOP_N = 10
 
 
 class Scorer(Protocol):
-    def score_items(self, user: int, items) -> np.ndarray: ...
+    def score_items(self, users, candidates) -> np.ndarray:
+        """Scores ``(U, C)`` of each user's row of ``(U, C)`` candidate items."""
 
 
 @dataclass(frozen=True)
@@ -69,17 +69,6 @@ class MetricsReport:
         if include_per_user:
             record["per_user"] = [[r.user, r.position] for r in self.per_user]
         return record
-
-
-def rank_test_item(test_score: float, negative_scores) -> int:
-    """1 + number of negatives scoring at least the test score.
-
-    Ties count against the test item, so a constant scorer ranks it last.
-    """
-    negatives = np.asarray(negative_scores, dtype=np.float64)
-    if not math.isfinite(test_score) or not np.all(np.isfinite(negatives)):
-        raise NumericError("rank_test_item: scores must be finite")
-    return 1 + int(np.count_nonzero(negatives >= test_score))
 
 
 def _check_nonempty(results):
@@ -134,10 +123,13 @@ def evaluate(scorer: Scorer, split: LooSplit, partition: str = "test",
              top_n: int = DEFAULT_TOP_N, mrr_uncut: bool = False) -> MetricsReport:
     """Rank every evaluated user's held-out item against its 99 negatives.
 
-    Deterministic: users are processed in index order against the frozen
-    negatives of the split, so two models are always compared on
+    Deterministic: every user's held-out item and frozen negatives go to
+    the scorer in one ``(U, 100)`` candidate matrix, held-out item first
+    and users in index order, so two models are always compared on
     identical candidate sets.
     """
+    if top_n < 1:
+        raise ConfigError(f"top_n must be >= 1, got {top_n}")
     if partition == "test":
         held = split.test
     elif partition == "validation":
@@ -146,15 +138,24 @@ def evaluate(scorer: Scorer, split: LooSplit, partition: str = "test",
         raise ConfigError(f"unknown partition {partition!r}")
     if not held:
         raise DataError("split has no evaluated users")
-    results = []
-    for user in sorted(held):
-        candidates = np.concatenate([[held[user]], split.eval_negatives[user]])
-        try:
-            scores = np.asarray(scorer.score_items(user, candidates), dtype=np.float64)
-        except Exception as exc:
-            raise type(exc)(f"scorer failed for user {user}: {exc}") from exc
-        position = rank_test_item(float(scores[0]), scores[1:])
-        results.append(RankingResult(user=user, position=position))
+    order = sorted(held)
+    users = np.asarray(order, dtype=np.int64)
+    candidates = np.empty((users.size, 1 + NUM_EVAL_NEGATIVES), dtype=np.int64)
+    candidates[:, 0] = [held[u] for u in order]
+    candidates[:, 1:] = [split.eval_negatives[u] for u in order]
+    try:
+        scores = np.asarray(scorer.score_items(users, candidates), dtype=np.float64)
+    except Exception as exc:
+        raise type(exc)(f"scorer failed for the {users.size} {partition} users: {exc}") from exc
+    if scores.shape != candidates.shape:
+        raise DataError(f"scorer returned scores of shape {scores.shape} "
+                        f"for candidates of shape {candidates.shape}")
+    if not np.all(np.isfinite(scores)):
+        bad = users[~np.isfinite(scores).all(axis=1)]
+        raise NumericError(f"scores must be finite; user {int(bad[0])} has a non-finite score")
+    # Ties count against the held-out item, so a constant scorer ranks it last.
+    positions = 1 + np.count_nonzero(scores[:, 1:] >= scores[:, :1], axis=1)
+    results = [RankingResult(user=u, position=p) for u, p in zip(order, positions.tolist())]
     return MetricsReport(
         hr=hit_ratio(results, top_n),
         ndcg=ndcg(results, top_n),

@@ -241,6 +241,23 @@ def _as_index_array(v) -> np.ndarray:
     return np.atleast_1d(np.asarray(v, dtype=np.int64))
 
 
+def _gather(a, rows):
+    return a if rows is None else a[rows]
+
+
+# Eval-mode scoring runs chunks of whole users of about this many rows:
+# one forward over every candidate row is slower, and past a few thousand
+# rows a chunk's activations outgrow the caches and the peak memory grows.
+_CHUNK_ROWS = 512
+# A BLAS gemm may round a row differently when the call has few rows
+# (OpenBLAS 0.3 does, below about 70 rows at the default widths); from
+# this many rows on, a row's bits match those of the 100-row call that
+# scoring one user's 100 candidates makes. Eval mode pads its per-user
+# source block to this size so that its rows carry the same bits, which
+# the per-user reference tests check.
+_MIN_BLOCK_ROWS = 100
+
+
 # ---------------------------------------------------------------------------
 # The model
 
@@ -253,7 +270,8 @@ class Trace:
     first; ``inputs``, ``pres`` and ``acts`` hold one such list per hidden
     layer. ``inputs[k][i]`` is what layer ``k`` of tower ``i`` multiplies:
     the merged embedding for ``k = 0``, else the coupled activations of
-    layer ``k - 1``.
+    layer ``k - 1``. An eval-mode trace holds no per-layer entries, and
+    its logits and probabilities are the target tower's alone.
     """
 
     users: np.ndarray
@@ -330,44 +348,65 @@ class Model:
 
     # -- forward
 
-    def _transition(self, k: int, acts: list):
+    def _transition(self, k: int, acts: list, rows=None):
         """Inputs and pre-activations of hidden layer ``k`` from ``acts``.
 
         ``acts`` holds each tower's merged embedding for ``k = 0`` and its
         layer ``k - 1`` activations after; the coupling acts on the latter.
+        ``rows`` (eval mode) maps the target tower's rows to the rows of a
+        per-user source operand, which is gathered where it meets them.
         """
         p = self.params
         inputs = acts
         if k and self.coupling == "stitch":
             keep, transfer = p[self.coupling_names[k - 1]]
-            inputs = [keep * acts[0] + transfer * acts[1], keep * acts[1] + transfer * acts[0]]
+            source = _gather(acts[1], rows)
+            inputs = [keep * acts[0] + transfer * source, keep * source + transfer * acts[0]]
         pres = [a @ p[t.weights[k]].T + p[t.biases[k]] for t, a in zip(self.towers, inputs)]
         if k and self.coupling == "cross":
             h = p[self.coupling_names[k - 1]]
-            pres[0] += acts[1] @ h.T
+            pres[0] += _gather(acts[1] @ h.T, rows)
+            pres[1] = _gather(pres[1], rows)
             pres[1] += acts[0] @ h.T
         return inputs, pres
 
-    def forward_batch(self, users, items_target, items_source=None) -> Trace:
+    def forward_batch(self, users, items_target, items_source=None, rows=None) -> Trace:
         """Forward pass; ``items_source`` pairs a source item with each row.
 
-        Single-tower models ignore ``items_source``.
+        Single-tower models ignore ``items_source``. Passing ``rows`` asks
+        for eval mode, which scores the target tower only: ``items_source``
+        then holds one item per user, ``rows[r]`` is the user of row ``r``
+        (an index into ``items_source``) and ``users[r]`` its user index.
+        A user's source input is the same on all of its rows, so the source
+        tower's layer 0 runs once per user and meets the target rows at
+        transition 1; ``mlp++``, whose towers never meet, skips it.
         """
         users = _as_index_array(users)
-        items = [_as_index_array(v) for v in (items_target, items_source)[: len(self.towers)]]
+        towers = self.towers if rows is None or self.coupling else self.towers[:1]
+        items = [_as_index_array(v) for v in (items_target, items_source)[: len(towers)]]
         if users.min(initial=0) < 0 or min(it.min(initial=-1) for it in items) < -1:
             raise IndexError("user indices must be >= 0 and item indices >= -1 (no item)")
+        tower_users = [users] * len(towers)
+        if rows is not None and len(towers) == 2:
+            # One source row per user, its user index read off the user's
+            # rows; padding rows take user 0 and no item.
+            rows = _as_index_array(rows)
+            padded = max(items[1].size, _MIN_BLOCK_ROWS)
+            tower_users[1] = np.zeros(padded, dtype=np.int64)
+            tower_users[1][rows] = users
+            items[1] = np.concatenate([items[1], np.full(padded - items[1].size, -1)])
         p = self.params
-        acts = [_merge_embeddings(p[t.user], p[t.items], users, it)
-                for t, it in zip(self.towers, items)]
+        acts = [_merge_embeddings(p[t.user], p[t.items], u, it)
+                for t, u, it in zip(towers, tower_users, items)]
         trace = Trace(users=users, items=items, inputs=[], pres=[], acts=[], logits=[], probs=[])
         for k in range(len(self.config.hidden_widths)):
-            inputs, pres = self._transition(k, acts)
+            inputs, pres = self._transition(k, acts, rows if k == 1 else None)
             acts = [np.maximum(pre, 0.0) for pre in pres]
-            trace.inputs.append(inputs)
-            trace.pres.append(pres)
-            trace.acts.append(acts)
-        for t, a in zip(self.towers, acts):
+            if rows is None:  # only backward reads these; eval mode frees them
+                trace.inputs.append(inputs)
+                trace.pres.append(pres)
+                trace.acts.append(acts)
+        for t, a in zip(towers if rows is None else towers[:1], acts):
             logits = a @ p[t.out]
             trace.logits.append(logits)
             trace.probs.append(sigmoid(logits))
@@ -453,9 +492,24 @@ class Model:
 
     # -- scoring
 
-    def score_items(self, user: int, items, source_item: int = -1) -> np.ndarray:
-        """Target-domain probabilities of ``items`` for one user."""
-        items = _as_index_array(items)
-        users = np.full(items.size, user, dtype=np.int64)
-        sources = np.full(items.size, source_item, dtype=np.int64)
-        return self.forward_batch(users, items, sources).probs[0]
+    def score_candidates(self, users, candidates, items_source=None) -> np.ndarray:
+        """Target-domain probabilities of each user's row of ``candidates``.
+
+        ``items_source`` pairs one source item (or -1) with each user of a
+        coupled model. Users are scored in chunks of whole users.
+        """
+        users = _as_index_array(users)
+        candidates = np.asarray(candidates, dtype=np.int64).reshape(users.size, -1)
+        sources = (np.full(users.size, -1, dtype=np.int64) if items_source is None
+                   else _as_index_array(items_source))
+        per_user = candidates.shape[1]
+        step = max(1, _CHUNK_ROWS // per_user)
+        scores = np.empty(candidates.shape)
+        for start in range(0, users.size, step):
+            chunk = slice(start, start + step)
+            n = users[chunk].size
+            rows = np.repeat(np.arange(n), per_user)
+            trace = self.forward_batch(users[chunk][rows], candidates[chunk].ravel(),
+                                       sources[chunk], rows=rows)
+            scores[chunk] = trace.probs[0].reshape(n, per_user)
+        return scores

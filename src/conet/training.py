@@ -99,7 +99,10 @@ class Adam:
     tensor that is only touched by every other batch (a domain-specific
     tower in alternating training) sees exactly the same update sequence
     it would in a single-domain run. ``step_count`` counts optimizer
-    steps globally, one per mini-batch.
+    steps globally, one per mini-batch. Updates run in place, in the
+    textbook formula's operation order, so they round exactly as the
+    out-of-place formula does; their temporaries live in one scratch
+    buffer sized to the largest tensor, so memory stays flat.
     """
 
     def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -112,10 +115,18 @@ class Adam:
         self.epsilon = epsilon
         self.slots: dict = {}
         self.step_count = 0
+        self._scratch = np.empty(0)
+
+    def _temporaries(self, shape) -> tuple:
+        size = math.prod(shape)
+        if self._scratch.size < 2 * size:
+            self._scratch = np.empty(2 * size)
+        return self._scratch[:size].reshape(shape), self._scratch[size : 2 * size].reshape(shape)
 
     def step(self, params: dict, grads: dict) -> None:
         """Apply one Adam update to every tensor present in ``grads``."""
         self.step_count += 1
+        b1, b2 = self.beta1, self.beta2
         for name, g in grads.items():
             p = params[name]
             if p.shape != g.shape:
@@ -124,11 +135,25 @@ class Adam:
             if slot is None:
                 slot = self.slots[name] = _AdamSlot(m=np.zeros_like(p), v=np.zeros_like(p))
             slot.t += 1
-            slot.m = self.beta1 * slot.m + (1.0 - self.beta1) * g
-            slot.v = self.beta2 * slot.v + (1.0 - self.beta2) * (g * g)
-            m_hat = slot.m / (1.0 - self.beta1 ** slot.t)
-            v_hat = slot.v / (1.0 - self.beta2 ** slot.t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            m, v = slot.m, slot.v
+            step, scale = self._temporaries(p.shape)
+            # m = b1 * m + (1 - b1) * g
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=step)
+            np.add(m, step, out=m)
+            # v = b2 * v + (1 - b2) * (g * g)
+            np.multiply(g, g, out=step)
+            np.multiply(step, 1.0 - b2, out=step)
+            np.multiply(v, b2, out=v)
+            np.add(v, step, out=v)
+            # p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+            np.divide(v, 1.0 - b2 ** slot.t, out=scale)
+            np.sqrt(scale, out=scale)
+            np.add(scale, self.epsilon, out=scale)
+            np.divide(m, 1.0 - b1 ** slot.t, out=step)
+            np.multiply(step, self.learning_rate, out=step)
+            np.divide(step, scale, out=step)
+            p -= step
 
 
 def proximal_l1(h: np.ndarray, threshold: float) -> np.ndarray:
@@ -190,9 +215,9 @@ class EpochStats:
 
 
 class ModelScorer:
-    """Deterministic (user, items) -> probabilities view of a trained model.
+    """Deterministic (users, candidates) -> probabilities view of a trained model.
 
-    Coupled models are driven with eval-mode source pairing: the user's
+    Coupled models are driven with eval-mode source pairing: each user's
     smallest-index source interaction, or the zero-embedding sentinel for
     users without source history.
     """
@@ -201,13 +226,18 @@ class ModelScorer:
         self.model = model
         self.source_train = source_train
 
-    def score_items(self, user: int, items) -> np.ndarray:
+    def score_items(self, users, candidates) -> np.ndarray:
+        """Probabilities ``(U, C)`` of each user's row of candidate items."""
+        users = np.asarray(users, dtype=np.int64)
+        sources = None
         if self.model.dual:
             if self.source_train is None:
                 raise ConfigError("coupled models need the source train set for scoring")
-            history = self.source_train.items_of(user)  # ascending
-            return self.model.score_items(user, items, int(history[0]) if history.size else -1)
-        return self.model.score_items(user, items)
+            indptr = self.source_train.indptr
+            held = indptr[users + 1] > indptr[users]
+            sources = np.full(users.size, -1, dtype=np.int64)
+            sources[held] = self.source_train.indices[indptr[users[held]]]
+        return self.model.score_candidates(users, candidates, sources)
 
 
 def make_scorer(model, split: LooSplit) -> ModelScorer:

@@ -4,11 +4,14 @@ The oracles here share no code with the program: per-example reference
 arithmetic that the batched model path is compared against.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from conet.data import CrossDomainDataset, InteractionDataset, loo_split
 from conet.errors import NumericError
+from conet.evaluation import MetricsReport, RankingResult, hit_ratio, mrr, ndcg
 from conet.models import DomainSizes, Model, ModelConfig, build_model
 from conet.numerics import derive_rng
 from conet.training import cross_entropy_from_logits
@@ -108,6 +111,72 @@ def reference_pairing(dataset, users, rng):
     return np.asarray(paired, dtype=np.int64)
 
 
+def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Out-of-place Adam step, one temporary per operation of the formula.
+
+    ``state`` maps each tensor name to its ``(m, v, t)``; a tensor absent
+    from ``grads`` keeps its moments and its update count.
+    """
+    for name, g in grads.items():
+        m, v, t = state.get(name, (np.zeros_like(g), np.zeros_like(g), 0))
+        t += 1
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        state[name] = (m, v, t)
+
+
+def rank_test_item(test_score, negative_scores):
+    """1 + number of negatives scoring at least the test score.
+
+    Ties count against the test item, so a constant scorer ranks it last.
+    """
+    negatives = np.asarray(negative_scores, dtype=np.float64)
+    if not math.isfinite(test_score) or not np.all(np.isfinite(negatives)):
+        raise NumericError("rank_test_item: scores must be finite")
+    return 1 + int(np.count_nonzero(negatives >= test_score))
+
+
+def reference_evaluate(score_user, split, partition="test", top_n=10):
+    """Per-user ranking loop: one ``score_user(user, candidates)`` call per user.
+
+    Users go in index order, each with its held-out item first and its 99
+    frozen negatives after. Returns the ``(U, 100)`` scores and the report.
+    """
+    held = split.test if partition == "test" else split.validation
+    rows, results = [], []
+    for user in sorted(held):
+        candidates = np.concatenate([[held[user]], split.eval_negatives[user]])
+        scores = np.asarray(score_user(user, candidates), dtype=np.float64)
+        rows.append(scores)
+        results.append(RankingResult(user=user,
+                                     position=rank_test_item(float(scores[0]), scores[1:])))
+    report = MetricsReport(hr=hit_ratio(results, top_n), ndcg=ndcg(results, top_n),
+                           mrr=mrr(results, top_n), per_user=results, top_n=top_n,
+                           num_evaluated_users=len(results))
+    return np.stack(rows), report
+
+
+def per_user_scorer(model, split):
+    """``score_user`` of one training-mode forward per user.
+
+    Every row of a user pairs the source tower with the user's
+    smallest-index source item, or with -1 when the user has none.
+    """
+    source = split.train.source
+
+    def score_user(user, candidates):
+        history = source.items_of(user)
+        paired = int(history[0]) if history.size else -1
+        rows = len(candidates)
+        return model.forward_batch(np.full(rows, user), candidates,
+                                   np.full(rows, paired)).probs[0]
+
+    return score_user
+
+
 def same_interactions(a, b):
     """True when two datasets hold the same users, items and adjacency."""
     return (a.num_users == b.num_users and a.num_items == b.num_items
@@ -205,7 +274,7 @@ def unflatten_params(vec, shapes, names=None):
     out = {}
     pos = 0
     for n in names:
-        size = int(np.prod(shapes[n])) if shapes[n] else 1
+        size = math.prod(shapes[n])
         out[n] = np.asarray(vec[pos : pos + size]).reshape(shapes[n])
         pos += size
     return out

@@ -32,7 +32,7 @@ from conet.data import (
     loo_split,
 )
 from conet.errors import ConfigError
-from conet.evaluation import evaluate, paired_t_test, rank_test_item
+from conet.evaluation import evaluate, paired_t_test
 from conet.models import DomainSizes, ModelConfig, build_model
 from conet.numerics import derive_rng
 from conet.studies import model_config_for, reduce_study
@@ -118,12 +118,10 @@ def test_criterion_02_decoupling_oracle():
     tc = TrainConfig(epochs=4, batch_size=32, seed=seed, patience=None)
 
     def predictions(model):
-        scorer = make_scorer(model, split)
-        rows = []
-        for u in sorted(split.test):
-            candidates = np.concatenate([[split.test[u]], split.eval_negatives[u]])
-            rows.append(scorer.score_items(u, candidates))
-        return np.concatenate(rows)
+        users = np.asarray(sorted(split.test))
+        candidates = np.stack([np.concatenate([[split.test[u]], split.eval_negatives[u]])
+                               for u in users.tolist()])
+        return make_scorer(model, split).score_items(users, candidates).ravel()
 
     conet = build_model(ModelConfig(architecture="conet", embedding_dim=4,
                                     hidden_widths=(8, 4, 2), lasso_lambda=0.1),
@@ -169,8 +167,8 @@ def test_criterion_03_metric_oracle(small_split):
     split = loo_split(data, derive_rng(7, "split"))
 
     class Scorer:
-        def score_items(self, user, items):
-            return data_scores[user][: len(items)]
+        def score_items(self, users, candidates):
+            return np.stack([data_scores[u][: candidates.shape[1]] for u in users.tolist()])
 
     report = evaluate(Scorer(), split)
     hr_sum = ndcg_sum = mrr_sum = 0.0

@@ -102,3 +102,18 @@ def test_corrupt_content_is_data_error(case, tmp_path):
     save_checkpoint(_corrupt(build("conet"), case), path)
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+def test_unknown_flags_are_data_error(tmp_path):
+    # Only bit 0 (separate source user embedding) is defined; a file setting
+    # another bit was written by a format this loader does not know.
+    model = build("conet")
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    raw = bytearray(path.read_bytes())
+    flags_at = len(MAGIC) + 4 + 2 + len("conet")
+    assert raw[flags_at:flags_at + 4] == b"\x00\x00\x00\x00"
+    raw[flags_at] = 2
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="flags"):
+        load_checkpoint(path)

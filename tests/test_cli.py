@@ -1,11 +1,14 @@
+import dataclasses
 import json
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conet.checkpoint import load_checkpoint, save_checkpoint
-from conet.cli import load_run_config, main
+from conet.cli import RunConfig, load_run_config, main
 from conet.errors import ConfigError
 from conet.models import DomainSizes, Model, ModelConfig
 
@@ -352,6 +355,22 @@ class TestMalformedInput:
         save_checkpoint(model, bad)
         self.assert_one_line_error(capsys, self.evaluate(tmp_path, data, run, bad), 3)
 
+    def test_non_utf8_config_file_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"seed = 1\nusers = 24\xff\n")
+        code = main(["generate", "--config", str(config), "--out", str(tmp_path / "o")])
+        self.assert_one_line_error(capsys, code, 3)
+
+    @pytest.mark.parametrize("top_n", ["0", "-5"])
+    def test_non_positive_top_n_is_config_error(self, tmp_path, capsys, frozen_run, top_n):
+        data, run = frozen_run
+        capsys.readouterr()
+        code = main(["evaluate", "--checkpoint", str(run / "model.ckpt"),
+                     "--target", str(data / "target.tsv"), "--source", str(data / "source.tsv"),
+                     "--split", str(run / "split.json"), "--top-n", top_n,
+                     "--out", str(tmp_path / "eval")])
+        self.assert_one_line_error(capsys, code, 2)
+
     def test_malformed_history_is_data_error(self, tmp_path, capsys):
         history = tmp_path / "history.jsonl"
         history.write_text('{"epoch": 1, "h_zero_ratios": [0.5]}\n{not json\n')
@@ -411,3 +430,111 @@ def test_mutated_manifest_exits_3(frozen_run, kind, pick, junk):
         "--split", str(mutated), "--out", str(run / "fuzz-eval"),
     ])
     assert code == 3
+
+
+def structural_offsets(raw):
+    """Checkpoint bytes whose every change the loader must detect.
+
+    That is the whole header except the lasso lambda (any finite value of
+    which is a valid model), and each tensor's name and shape; tensor data
+    is left out, since a changed finite weight is still a model.
+    """
+    offsets = []
+    pos = 0
+
+    def field(size, keep=True):
+        nonlocal pos
+        if keep:
+            offsets.extend(range(pos, pos + size))
+        pos += size
+        return raw[pos - size:pos]
+
+    field(9 + 4)  # magic, version
+    field(struct.unpack("<H", field(2))[0])  # architecture
+    field(4 + 4)  # flags, embedding dim
+    field(4 * struct.unpack("<I", field(4))[0])  # widths
+    field(8, keep=False)  # lasso lambda
+    for _ in range(struct.unpack("<I", field(4))[0]):
+        field(struct.unpack("<H", field(2))[0])  # name
+        rows, cols = struct.unpack("<QQ", field(16))
+        field(rows * cols * 8, keep=False)
+    assert pos == len(raw)
+    return offsets
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(["truncate", "flip", "drop", "reshape", "non_finite"]),
+       pick=st.integers(0, 10 ** 6), mask=st.integers(1, 255),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_mutated_checkpoint_exits_2_or_3(frozen_run, kind, pick, mask, bad):
+    """Any one corruption of a valid checkpoint is an error exit, never a traceback."""
+    data, run = frozen_run
+    raw = (run / "model.ckpt").read_bytes()
+    model = load_checkpoint(run / "model.ckpt")
+    params = dict(model.params)
+    names = sorted(params)
+    name = names[pick % len(names)]
+    mutated = run / "mutated.ckpt"
+    if kind == "truncate":
+        mutated.write_bytes(raw[: pick % len(raw)])
+    elif kind == "flip":
+        offsets = structural_offsets(raw)
+        at = offsets[pick % len(offsets)]
+        mutated.write_bytes(raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:])
+    else:
+        if kind == "drop":
+            del params[name]
+        elif kind == "reshape":
+            matrices = [n for n in names if params[n].ndim == 2]
+            name = matrices[pick % len(matrices)]
+            rows, cols = params[name].shape
+            params[name] = params[name].reshape((cols, rows) if rows != cols else (1, -1))
+        else:
+            params[name] = params[name].copy()
+            params[name].flat[pick % params[name].size] = bad
+        save_checkpoint(SimpleNamespace(config=model.config, params=params), mutated)
+    code = main([
+        "evaluate", "--checkpoint", str(mutated),
+        "--target", str(data / "target.tsv"), "--source", str(data / "source.tsv"),
+        "--split", str(run / "split.json"), "--out", str(run / "fuzz-eval"),
+    ])
+    assert code in (2, 3)
+
+
+VALID_CONFIG = "".join(f"{flag[2:].replace('-', '_')} = {value}\n"
+                       for flag, value in zip(GEN_FLAGS[::2], GEN_FLAGS[1::2]))
+TYPED_KEYS = sorted(f.name for f in dataclasses.fields(RunConfig)
+                    if isinstance(f.default, (bool, int, float, tuple)))
+# No digits, commas or letters of "nan"/"inf": nothing a number parses from.
+JUNK = st.text(alphabet="xyzqw!?@$%^&*()[]{}<>~|", min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(["bad_bytes", "unknown_key", "junk_value", "no_equals"]),
+       pick=st.integers(0, 10 ** 6),
+       bad_bytes=st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xfe\xfe"]),
+       key=st.from_regex(r"[a-z_]{1,12}", fullmatch=True), junk=JUNK,
+       words=st.from_regex(r"[A-Za-z0-9_. -]*[A-Za-z0-9_.-][A-Za-z0-9_. -]*", fullmatch=True))
+def test_mutated_config_file_exits_2_or_3(tmp_path_factory, kind, pick, bad_bytes, key, junk,
+                                          words):
+    """Any one corruption of a valid config file is an error exit, never a traceback."""
+    lines = VALID_CONFIG.encode("utf-8").splitlines(keepends=True)
+    at = pick % (len(lines) + 1)
+    if kind == "bad_bytes":
+        raw = b"".join(lines)
+        at = pick % (len(raw) + 1)
+        text = raw[:at] + bad_bytes + raw[at:]
+    else:
+        if kind == "unknown_key":
+            if key in {f.name for f in dataclasses.fields(RunConfig)}:
+                key += "_x"
+            line = f"{key} = 1"
+        elif kind == "junk_value":
+            line = f"{TYPED_KEYS[pick % len(TYPED_KEYS)]} = {junk}"
+        else:
+            line = words
+        text = b"".join(lines[:at] + [line.encode("utf-8") + b"\n"] + lines[at:])
+    root = tmp_path_factory.getbasetemp()
+    config = root / "mutated.cfg"
+    config.write_bytes(text)
+    assert main(["generate", "--config", str(config), "--out", str(root / "fuzz-gen")]) in (2, 3)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conet.data import CrossDomainDataset, InteractionDataset, loo_split
+from conet.data import (CrossDomainDataset, InteractionDataset, LooSplit, SyntheticConfig,
+                        generate_synthetic, loo_split)
 from conet.errors import DataError, NumericError
 from conet.evaluation import (
     MetricsReport,
@@ -14,41 +15,66 @@ from conet.evaluation import (
     mrr,
     ndcg,
     paired_t_test,
-    rank_test_item,
 )
+from conet.models import DomainSizes, ModelConfig, build_model
 from conet.numerics import derive_rng
+from conet.studies import model_config_for
+from conet.training import make_scorer
 
-from conftest import make_cross_domain
+from conftest import make_cross_domain, per_user_scorer, rank_test_item, reference_evaluate
 
 
 def results_from(positions):
     return [RankingResult(user=u, position=p) for u, p in enumerate(positions)]
 
 
+class _FixedScorer:
+    def __init__(self, scores):
+        self.scores = scores
+
+    def score_items(self, users, candidates):
+        return self.scores
+
+
+def live_position(test_score, negative_scores):
+    """Hit position ``evaluate`` ranks for one user scoring its candidates so."""
+    split = LooSplit(train=None, test={0: 0}, validation={},
+                     eval_negatives={0: np.arange(1, 100)})
+    scores = np.concatenate([[test_score], negative_scores])[None, :]
+    return evaluate(_FixedScorer(scores), split).per_user[0].position
+
+
 class TestRankTestItem:
+    """``evaluate``'s vectorised ranking against the per-user ``rank_test_item``."""
+
     def test_strictly_greatest_ranks_first(self):
-        assert rank_test_item(5.0, np.linspace(0, 4, 99)) == 1
+        negatives = np.linspace(0, 4, 99)
+        assert live_position(5.0, negatives) == rank_test_item(5.0, negatives) == 1
 
     def test_strictly_least_ranks_last(self):
-        assert rank_test_item(-1.0, np.linspace(0, 4, 99)) == 100
+        negatives = np.linspace(0, 4, 99)
+        assert live_position(-1.0, negatives) == rank_test_item(-1.0, negatives) == 100
 
     def test_ties_count_against(self):
         negatives = np.concatenate([[0.7, 0.7], np.full(97, 0.1)])
-        assert rank_test_item(0.7, negatives) == 3
+        assert live_position(0.7, negatives) == rank_test_item(0.7, negatives) == 3
 
     def test_non_finite_raises(self):
-        with pytest.raises(NumericError):
-            rank_test_item(float("nan"), np.zeros(99))
-        with pytest.raises(NumericError):
-            rank_test_item(0.0, np.array([np.inf] + [0.0] * 98))
+        for test_score, negatives in ((float("nan"), np.zeros(99)),
+                                      (0.0, np.array([np.inf] + [0.0] * 98))):
+            with pytest.raises(NumericError):
+                live_position(test_score, negatives)
+            with pytest.raises(NumericError):
+                rank_test_item(test_score, negatives)
 
     @given(st.integers(min_value=1, max_value=12345))
     def test_strictly_increasing_transform_preserves_rank(self, seed):
         rng = np.random.default_rng(seed)
         scores = rng.normal(size=100)
         raw = rank_test_item(scores[0], scores[1:])
+        assert live_position(scores[0], scores[1:]) == raw
         transformed = np.tanh(scores / 3) * 5 + 1  # strictly increasing
-        assert rank_test_item(transformed[0], transformed[1:]) == raw
+        assert live_position(transformed[0], transformed[1:]) == raw
 
 
 class TestAggregates:
@@ -118,21 +144,22 @@ class _TableScorer:
     def __init__(self, table):
         self.table = table
 
-    def score_items(self, user, items):
-        return np.asarray([self.table[user][int(i)] for i in items])
+    def score_items(self, users, candidates):
+        return np.stack([self.table[u][row] for u, row in zip(users.tolist(), candidates)])
 
 
 class _ConstantScorer:
-    def score_items(self, user, items):
-        return np.zeros(len(items))
+    def score_items(self, users, candidates):
+        return np.zeros(np.shape(candidates))
 
 
 class _OracleScorer:
     def __init__(self, held):
         self.held = held
 
-    def score_items(self, user, items):
-        return np.asarray([1.0 if int(i) == self.held[user] else 0.0 for i in items])
+    def score_items(self, users, candidates):
+        held = np.asarray([self.held[u] for u in users.tolist()])
+        return (candidates == held[:, None]).astype(float)
 
 
 class TestEvaluate:
@@ -175,8 +202,8 @@ class TestEvaluate:
         scores = {u: rng.normal(size=100) for u in range(num_users)}
 
         class Scorer:
-            def score_items(self, user, items):
-                return scores[user][: len(items)]
+            def score_items(self, users, candidates):
+                return np.stack([scores[u][: candidates.shape[1]] for u in users.tolist()])
 
         data = make_cross_domain(num_users=num_users, per_user_target=6,
                                  per_user_source=4, n_target=150, n_source=120, seed=7)
@@ -209,6 +236,73 @@ class TestEvaluate:
 
         with pytest.raises(ValueError, match="user"):
             evaluate(Broken(), small_split)
+
+
+def generic_model(arch, split, seed=3):
+    """Paper-sized model at a generic point: every tensor jittered off its init."""
+    widths = (64, 64, 64, 64) if arch == "csn" else (64, 32, 16, 8)
+    config = model_config_for(arch, ModelConfig(hidden_widths=widths))
+    model = build_model(config, DomainSizes.from_split(split), seed)
+    rng = np.random.default_rng(seed)
+    for name, value in model.params.items():
+        model.params[name] = value + rng.normal(scale=0.1, size=value.shape)
+    return model
+
+
+def sparse_source_split(num_users, evaluated, seed=0):
+    """Split with ``evaluated`` evaluated users; every third user has no source history."""
+    rng = np.random.default_rng(seed)
+    t_adj = [sorted(rng.choice(150, 6 if u < evaluated else 2, replace=False))
+             for u in range(num_users)]
+    s_adj = [sorted(rng.choice(120, 4, replace=False)) if u % 3 else []
+             for u in range(num_users)]
+    data = CrossDomainDataset(target=InteractionDataset(num_users, 150, t_adj),
+                              source=InteractionDataset(num_users, 120, s_adj))
+    split = loo_split(data, derive_rng(seed, "split"))
+    assert len(split.test) == evaluated
+    return split
+
+
+@pytest.fixture(scope="module")
+def acceptance_split():
+    data = generate_synthetic(SyntheticConfig(seed=1))
+    return loo_split(data, derive_rng(1, "split"))
+
+
+ARCHS = ("mlp", "mlp++", "csn", "conet", "sconet")
+
+
+class TestBatchedScoring:
+    """One batched call per evaluation against one forward per user, bit for bit."""
+
+    def assert_matches_per_user(self, model, split, partition):
+        expected_scores, expected = reference_evaluate(per_user_scorer(model, split), split,
+                                                       partition)
+        held = split.test if partition == "test" else split.validation
+        users = np.asarray(sorted(held))
+        candidates = np.stack([np.concatenate([[held[u]], split.eval_negatives[u]])
+                               for u in users.tolist()])
+        scores = make_scorer(model, split).score_items(users, candidates)
+        assert np.array_equal(scores, expected_scores)
+        assert evaluate(make_scorer(model, split), split, partition) == expected
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_acceptance_data(self, acceptance_split, arch):
+        model = generic_model(arch, acceptance_split)
+        for partition in ("test", "validation"):
+            self.assert_matches_per_user(model, acceptance_split, partition)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_one_evaluated_user(self, arch):
+        split = sparse_source_split(num_users=5, evaluated=1)
+        self.assert_matches_per_user(generic_model(arch, split), split, "test")
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_fewer_evaluated_users_than_a_source_block(self, arch):
+        split = sparse_source_split(num_users=40, evaluated=37, seed=1)
+        model = generic_model(arch, split)
+        for partition in ("test", "validation"):
+            self.assert_matches_per_user(model, split, partition)
 
 
 class TestPairedTTest:

@@ -202,9 +202,13 @@ class TestBaseForward:
 
     def test_probabilities_strictly_inside_unit_interval(self):
         model = scaled_model("mlp", 3)
-        for u in range(TINY.num_users):
-            probs = model.score_items(u, np.arange(TINY.num_items_target))
-            assert np.all(probs > 0.0) and np.all(probs < 1.0)
+        users = np.arange(TINY.num_users)
+        candidates = np.tile(np.arange(TINY.num_items_target), (users.size, 1))
+        probs = model.score_candidates(users, candidates)
+        for u in users:
+            per_user = model.forward_batch(np.full(TINY.num_items_target, u), candidates[u])
+            assert np.array_equal(probs[u], per_user.probs[0])
+        assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     def test_shape_chain_rejected_at_construction(self):
         cfg = tiny_config("mlp")
@@ -283,10 +287,11 @@ class TestConetForward:
 
     def test_sentinel_source_item_uses_zero_embedding_half(self):
         model = scaled_model("conet", 7)
-        probs = model.score_items(0, np.arange(3), source_item=-1)
+        probs = model.score_candidates([0], [np.arange(3)], [-1])[0]
         trace = model.forward_batch(np.zeros(3, dtype=int), np.arange(3),
                                     np.full(3, -1, dtype=int))
         assert np.array_equal(trace.inputs[0][1][:, 4:], np.zeros((3, 4)))
+        assert np.array_equal(probs, trace.probs[0])
         assert np.all((probs > 0) & (probs < 1))
 
 

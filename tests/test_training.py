@@ -19,7 +19,8 @@ from conet.training import (
     sparsity_ratio,
 )
 
-from conftest import cross_entropy_loss, make_cross_domain, reference_pairing
+from conftest import (cross_entropy_loss, make_cross_domain, reference_adam_step,
+                      reference_pairing)
 
 
 def small_model(arch="conet", lam=0.1, sizes=None, seed=0):
@@ -153,6 +154,36 @@ class TestAdam:
         with pytest.raises(ConfigError):
             opt.step({"w": np.zeros(2)}, {"w": np.zeros(3)})
 
+    def test_in_place_step_matches_out_of_place_formula_bitwise(self):
+        # Alternating-domain shapes: the shared table moves every step, each
+        # tower table every other step, so update counts differ per tensor.
+        # Embedding gradients are sparse, as a mini-batch leaves them.
+        lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(11)
+        shapes = {"P": (300, 32), "Q_t": (400, 32), "Q_s": (250, 32),
+                  "W_t_0": (64, 64), "b_t_0": (64,), "W_s_0": (64, 64), "H_0": (32, 64)}
+        params = {n: rng.normal(scale=0.1, size=shape) for n, shape in shapes.items()}
+        expected = {n: v.copy() for n, v in params.items()}
+        opt = Adam(lr, b1, b2, eps)
+        state = {}
+        for step in range(120):
+            side = "t" if step % 2 == 0 else "s"
+            names = ["P", "H_0", f"Q_{side}", f"W_{side}_0"] + (["b_t_0"] if side == "t" else [])
+            grads = {}
+            for n in names:
+                g = rng.normal(size=shapes[n])
+                if n.startswith(("P", "Q")):
+                    g[rng.random(shapes[n][0]) > 0.1] = 0.0
+                grads[n] = g
+            opt.step(params, grads)
+            reference_adam_step(expected, grads, state, lr, b1, b2, eps)
+        for n in shapes:
+            m, v, t = state[n]
+            assert opt.slots[n].t == t
+            assert np.array_equal(opt.slots[n].m, m) and np.array_equal(opt.slots[n].v, v), n
+            assert np.array_equal(params[n], expected[n]), n
+        assert {opt.slots[n].t for n in shapes} == {120, 60}
+
 
 class TestProximalL1:
     def test_zero_threshold_is_identity(self):
@@ -204,9 +235,10 @@ class TestPairSourceItem:
 
     def assert_scored_with(self, split, user, source_item):
         model = small_model(sizes=sizes_of(split))
-        items = np.arange(5)
-        scored = make_scorer(model, split).score_items(user, items)
-        assert np.array_equal(scored, model.score_items(user, items, source_item))
+        items = np.arange(100)
+        scored = make_scorer(model, split).score_items([user], [items])[0]
+        per_user = model.forward_batch(np.full(100, user), items, np.full(100, source_item))
+        assert np.array_equal(scored, per_user.probs[0])
         return scored
 
     def test_single_interaction_forced_in_both_modes(self):
