@@ -61,12 +61,17 @@ class RunConfig:
     out: str = ""
 
     def base_model_config(self) -> ModelConfig:
-        """Model settings shared by every arm, before an architecture is resolved."""
-        return ModelConfig(
+        """Model settings shared by every arm, before an architecture is resolved.
+
+        Checked here, before any arm resolves its own lambda from it.
+        """
+        config = ModelConfig(
             embedding_dim=self.embedding_dim,
             hidden_widths=tuple(self.hidden_widths),
             lasso_lambda=self.lasso_lambda,
         )
+        config.validate()
+        return config
 
     def model_config(self) -> ModelConfig:
         config = studies.model_config_for(self.architecture, self.base_model_config())

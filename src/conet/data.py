@@ -283,8 +283,11 @@ def sample_eval_negatives(
     dataset: InteractionDataset, user: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw 99 distinct items the user never interacted with, uniformly."""
-    interacted = dataset.items_of(user)
-    eligible = np.setdiff1d(np.arange(dataset.num_items, dtype=np.int64), interacted)
+    # The ascending complement, as ``setdiff1d`` gives it, without hashing
+    # every item per user.
+    eligible_mask = np.ones(dataset.num_items, dtype=bool)
+    eligible_mask[dataset.items_of(user)] = False
+    eligible = np.flatnonzero(eligible_mask)
     if eligible.size < NUM_EVAL_NEGATIVES:
         raise DataError(
             f"user {user}: only {eligible.size} non-interacted items, need {NUM_EVAL_NEGATIVES}"
@@ -544,21 +547,43 @@ def reduce_training(split: LooSplit, per_user_removal: int, rng: np.random.Gener
 # Split manifest (freeze a split across runs)
 
 
+def _json_block(open_, close, entries, depth) -> str:
+    # ``entries`` laid out as ``json.dump(..., indent=1)`` lays out a
+    # container at nesting ``depth``: one entry per line, or empty brackets.
+    if not entries:
+        return open_ + close
+    pad = "\n" + " " * (depth + 1)
+    return open_ + pad + ("," + pad).join(entries) + "\n" + " " * depth + close
+
+
+def _int_texts(values) -> list:
+    return list(map(str, np.asarray(values, dtype=np.int64).tolist()))
+
+
 def save_split_manifest(split: LooSplit, path) -> None:
-    """Write the held-out items and frozen negatives as JSON."""
-    manifest = {
-        "num_users": split.train.num_users,
-        "num_items_target": split.train.target.num_items,
-        "num_items_source": split.train.source.num_items,
-        "test": {str(u): int(i) for u, i in sorted(split.test.items())},
-        "validation": {str(u): int(i) for u, i in sorted(split.validation.items())},
-        "eval_negatives": {
-            str(u): [int(i) for i in split.eval_negatives[u]] for u in sorted(split.eval_negatives)
-        },
-    }
+    """Write the held-out items and frozen negatives as JSON.
+
+    The text is byte for byte what ``json.dump(manifest, fh, indent=1)``
+    writes, plus a final newline, built without the per-element encoder.
+    """
+    def held_out(held):
+        users = sorted(held)
+        return _json_block("{", "}", [f'"{u}": {i}' for u, i in
+                                      zip(users, _int_texts([held[u] for u in users]))], 1)
+
+    negatives = split.eval_negatives
+    blocks = [f'"{u}": ' + _json_block("[", "]", _int_texts(negatives[u]), 2)
+              for u in sorted(negatives)]
+    text = _json_block("{", "}", [
+        f'"num_users": {int(split.train.num_users)}',
+        f'"num_items_target": {int(split.train.target.num_items)}',
+        f'"num_items_source": {int(split.train.source.num_items)}',
+        f'"test": {held_out(split.test)}',
+        f'"validation": {held_out(split.validation)}',
+        f'"eval_negatives": ' + _json_block("{", "}", blocks, 1),
+    ], 0)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 _MANIFEST_KEYS = ("num_users", "num_items_target", "num_items_source",

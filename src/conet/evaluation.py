@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .data import NUM_EVAL_NEGATIVES, LooSplit
 from .errors import ConfigError, DataError, NumericError
@@ -185,4 +184,8 @@ def paired_t_test(per_user_a, per_user_b) -> float:
     if sd == 0.0:
         return 0.0
     t_stat = float(diff.mean()) / (sd / math.sqrt(diff.size))
-    return float(2.0 * _scipy_stats.t.sf(abs(t_stat), diff.size - 1))
+    # Student's t CDF: the same value as ``scipy.stats.t.sf(|t|, df)``
+    # without loading ``scipy.stats``; only the studies get here.
+    from scipy.special import stdtr
+
+    return float(2.0 * stdtr(diff.size - 1, -abs(t_stat)))

@@ -28,6 +28,7 @@ uniformly. Gradients are hand-derived per layer; there is no autodiff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,8 @@ class ModelConfig:
             )
         if len(self.csn_alpha_init) != 2:
             raise ConfigError("csn_alpha_init must be a (self, transfer) pair")
-        if self.lasso_lambda < 0:
-            raise ConfigError("lasso_lambda must be >= 0")
+        if not math.isfinite(self.lasso_lambda) or self.lasso_lambda < 0:
+            raise ConfigError(f"lasso_lambda must be finite and >= 0, got {self.lasso_lambda}")
         if not self.share_user_embedding and self.architecture != "mlp++":
             raise ConfigError("disabling the shared user embedding is an mlp++ ablation only")
 

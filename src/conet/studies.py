@@ -9,6 +9,7 @@ depend on scheduling.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -86,12 +87,13 @@ def model_config_for(arch: str, base: ModelConfig) -> ModelConfig:
     """Resolve a study arch name into a concrete model config.
 
     ``conet`` forces the penalty off; ``sconet`` keeps the configured
-    lambda (falling back to the 0.1 default when it was zero).
+    lambda (falling back to the 0.1 default when it was zero, so that a
+    non-finite or negative lambda still reaches ``validate``).
     """
     if arch not in ARCH_CHOICES:
         raise ConfigError(f"unknown architecture {arch!r}; pick one of {ARCH_CHOICES}")
     if arch == "sconet":
-        lam = base.lasso_lambda if base.lasso_lambda > 0 else 0.1
+        lam = base.lasso_lambda or 0.1
         return replace(base, architecture="conet", lasso_lambda=lam)
     if arch == "conet":
         return replace(base, architecture="conet", lasso_lambda=0.0)
@@ -165,8 +167,8 @@ def lambda_sweep(split: LooSplit, lambdas, base_config: ModelConfig,
     """Train the cross-connection model once per penalty weight."""
     if len(lambdas) < 1:
         raise ConfigError("lambda sweep needs at least one value")
-    if any(lam < 0 for lam in lambdas):
-        raise ConfigError("penalty weights must be >= 0")
+    if any(not math.isfinite(lam) or lam < 0 for lam in lambdas):
+        raise ConfigError("penalty weights must be finite and >= 0")
     configs = [replace(base_config, architecture="conet", lasso_lambda=float(lam))
                for lam in lambdas]
     for cfg in configs:

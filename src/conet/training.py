@@ -53,6 +53,9 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if self.batch_size < 1:

@@ -4,6 +4,7 @@ The oracles here share no code with the program: per-example reference
 arithmetic that the batched model path is compared against.
 """
 
+import json
 import math
 
 import numpy as np
@@ -100,6 +101,41 @@ def reference_batches(dataset, batch_size, negative_ratio, rng):
                 items.append(j)
                 labels.append(0.0)
         yield np.asarray(users), np.asarray(items), np.asarray(labels)
+
+
+def reference_eval_negatives(dataset, user, rng):
+    """99 negatives drawn from the ``setdiff1d`` complement of the user's items."""
+    eligible = np.setdiff1d(np.arange(dataset.num_items, dtype=np.int64), dataset.items_of(user))
+    return rng.choice(eligible, size=99, replace=False).astype(np.int64)
+
+
+def reference_loo_draws(data, rng):
+    """``(test, validation, negatives)`` of a leave-one-out split, drawn user by user.
+
+    Each user with at least three target items draws its two held-out
+    items, then its negatives, in user-index order.
+    """
+    test, validation, negatives = {}, {}, {}
+    for u in range(data.num_users):
+        items = data.target.items_of(u)
+        if items.size >= 3:
+            test[u], validation[u] = rng.choice(items, size=2, replace=False).tolist()
+            negatives[u] = reference_eval_negatives(data.target, u, rng)
+    return test, validation, negatives
+
+
+def reference_manifest_text(split):
+    """The split manifest as ``json.dumps(..., indent=1)`` writes it, newline-terminated."""
+    manifest = {
+        "num_users": split.train.num_users,
+        "num_items_target": split.train.target.num_items,
+        "num_items_source": split.train.source.num_items,
+        "test": {str(u): int(i) for u, i in sorted(split.test.items())},
+        "validation": {str(u): int(i) for u, i in sorted(split.validation.items())},
+        "eval_negatives": {str(u): [int(i) for i in split.eval_negatives[u]]
+                           for u in sorted(split.eval_negatives)},
+    }
+    return json.dumps(manifest, indent=1) + "\n"
 
 
 def reference_pairing(dataset, users, rng):

@@ -308,8 +308,22 @@ class TestMalformedInput:
         code = main(["train", flag, value, "--out", str(tmp_path / "o")])
         self.assert_one_line_error(capsys, code, 2)
 
+    @pytest.mark.parametrize("arch,flag,value", [
+        ("sconet", "--lasso-lambda", "nan"), ("sconet", "--lasso-lambda", "inf"),
+        ("conet", "--lasso-lambda", "nan"), ("sconet", "--learning-rate", "nan"),
+        ("sconet", "--learning-rate", "inf"), ("mlp", "--learning-rate", "-inf")])
+    def test_non_finite_hyperparameter_is_config_error(self, tmp_path, capsys, arch, flag,
+                                                       value):
+        data = generate(tmp_path, seed=3)
+        capsys.readouterr()
+        code, out = train(tmp_path, data, arch=arch, extra=(f"{flag}={value}",))
+        self.assert_one_line_error(capsys, code, 2)
+        assert not (out / "history.jsonl").exists()
+
     @pytest.mark.parametrize("verb,flag,value", [("compare", "--archs", "mlp,nope"),
                                                  ("lambda-sweep", "--lambdas", "0,x"),
+                                                 ("lambda-sweep", "--lambdas", "0,nan"),
+                                                 ("lambda-sweep", "--lambdas", "0,inf"),
                                                  ("reduce-study", "--levels", "0,1.5")])
     def test_bad_list_flag_value_is_config_error(self, tmp_path, capsys, verb, flag, value):
         data = generate(tmp_path)

@@ -6,6 +6,7 @@ import pytest
 from conet.data import (
     CrossDomainDataset,
     InteractionDataset,
+    LooSplit,
     SyntheticConfig,
     align_domains,
     epoch_batches,
@@ -21,7 +22,8 @@ from conet.data import (
 from conet.errors import ConfigError, DataError
 from conet.numerics import derive_rng
 
-from conftest import has, reference_batches, same_interactions
+from conftest import (has, reference_batches, reference_loo_draws, reference_manifest_text,
+                      same_interactions)
 
 
 def make_dataset(adjacency, num_items, ids=True):
@@ -458,3 +460,53 @@ class TestSplitManifest:
         path.write_text(text)
         with pytest.raises(DataError):
             load_split_manifest(data, path)
+
+
+def reference_splits():
+    """Splits of several seeds and sizes, the acceptance data among them."""
+    yield "small", small_cross_domain(), 0
+    yield "wide", small_cross_domain(num_users=30, per_user_target=40, n_target=300), 5
+    yield "acceptance", generate_synthetic(SyntheticConfig(seed=1)), 1
+    for seed in (2, 7, 11):
+        yield "small", small_cross_domain(per_user_target=3 + seed % 4), seed
+
+
+class TestSplitAgainstReferences:
+    """``loo_split`` draws and manifest bytes against the per-user references."""
+
+    @pytest.mark.parametrize("name, data, seed", list(reference_splits()))
+    def test_draws_and_manifest_bytes(self, tmp_path, name, data, seed):
+        split = loo_split(data, derive_rng(seed, "split"))
+        test, validation, negatives = reference_loo_draws(data, derive_rng(seed, "split"))
+        assert split.test == test and split.validation == validation
+        assert split.eval_negatives.keys() == negatives.keys()
+        for u, negs in negatives.items():
+            assert split.eval_negatives[u].dtype == np.int64
+            assert np.array_equal(split.eval_negatives[u], negs)
+        path = tmp_path / "split.json"
+        save_split_manifest(split, path)
+        assert path.read_bytes() == reference_manifest_text(split).encode("utf-8")
+
+    def test_no_evaluated_users(self, tmp_path):
+        data = CrossDomainDataset(target=make_dataset([[0, 1], [2]], 120),
+                                  source=make_dataset([[0], [1]], 5))
+        split = loo_split(data, derive_rng(0, "split"))
+        assert split.test == {} and split.eval_negatives == {}
+        path = tmp_path / "split.json"
+        save_split_manifest(split, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == reference_manifest_text(split)
+        assert '"test": {}' in text and '"eval_negatives": {}' in text
+
+    def test_negatives_as_lists(self, tmp_path):
+        split = loo_split(small_cross_domain(), derive_rng(3, "split"))
+        paths = []
+        for tag, convert in (("array", np.asarray), ("ints", lambda v: v.tolist()),
+                             ("numpy_ints", list)):
+            as_given = LooSplit(train=split.train, test=split.test, validation=split.validation,
+                                eval_negatives={u: convert(v)
+                                                for u, v in split.eval_negatives.items()})
+            paths.append(tmp_path / f"{tag}.json")
+            save_split_manifest(as_given, paths[-1])
+        expected = reference_manifest_text(split).encode("utf-8")
+        assert all(path.read_bytes() == expected for path in paths)

@@ -340,6 +340,18 @@ class TestPairedTTest:
         b = a + rng.normal(scale=0.3, size=30) + 0.1
         assert paired_t_test(a, b) == pytest.approx(stats.ttest_rel(a, b).pvalue, abs=1e-12)
 
+    def test_matches_scipy_stats_bit_for_bit(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(2, 400))
+            a = rng.normal(size=n)
+            b = a + rng.normal(scale=rng.choice([0.01, 0.3, 3.0]), size=n) + 0.1
+            diff = a - b
+            t_stat = float(diff.mean()) / (float(diff.std(ddof=1)) / math.sqrt(n))
+            assert paired_t_test(a, b) == float(2.0 * stats.t.sf(abs(t_stat), n - 1))
+
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             paired_t_test(np.zeros(3), np.zeros(4))

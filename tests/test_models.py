@@ -47,6 +47,11 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(architecture="conet", lasso_lambda=-0.5).validate()
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda(self, lam):
+        with pytest.raises(ConfigError, match="finite"):
+            ModelConfig(architecture="conet", lasso_lambda=lam).validate()
+
     def test_default_transfer_matrix_count(self):
         assert ModelConfig(architecture="conet").num_transfer_matrices == 3
 

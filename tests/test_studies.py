@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,12 @@ class TestModelConfigFor:
     def test_sconet_defaults_penalty_when_zero(self):
         base = ModelConfig(architecture="conet", lasso_lambda=0.0)
         assert model_config_for("sconet", base).lasso_lambda == 0.1
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5])
+    def test_sconet_keeps_a_bad_penalty_for_validate(self, lam):
+        config = model_config_for("sconet", replace(BASE, lasso_lambda=lam))
+        with pytest.raises(ConfigError):
+            config.validate()
 
     def test_unknown_arch(self):
         with pytest.raises(ConfigError):
@@ -96,6 +105,11 @@ class TestLambdaSweep:
     def test_negative_lambda_rejected(self, split):
         with pytest.raises(ConfigError):
             lambda_sweep(split, [-1.0], BASE, FAST)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, split, lam):
+        with pytest.raises(ConfigError, match="finite"):
+            lambda_sweep(split, [0.0, lam], BASE, FAST)
 
 
 class TestReduceStudy:

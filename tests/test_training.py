@@ -38,6 +38,15 @@ def split():
 sizes_of = DomainSizes.from_split
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["learning_rate", "adam_beta1", "adam_beta2",
+                                       "adam_epsilon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value}).validate()
+
+
 class TestCrossEntropy:
     """The training loss against the probability-form oracle."""
 
