@@ -109,8 +109,11 @@ def _rows(params: dict, *names) -> int:
 
 def load_checkpoint(path):
     """Rebuild the model saved by :func:`save_checkpoint`."""
-    with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            reader = _Reader(fh.read())
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if reader.take(len(MAGIC)) != MAGIC:
         raise DataError(f"{path} is not a model checkpoint (bad magic)")
     version = reader.u32()

@@ -174,7 +174,10 @@ def resolve_out_dir(config: RunConfig, command: str) -> Path:
     root = Path(os.environ.get(ENV_OUTPUT_ROOT, "."))
     out = Path(config.out) if config.out else Path("runs") / command
     path = out if out.is_absolute() else root / out
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return path
 
 
@@ -409,8 +412,15 @@ def _csv(text: str, convert, flag: str) -> list:
         raise ConfigError(f"{flag}: cannot read {text!r} ({exc})") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are config errors: one line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conet",
         description="Cross-domain collaborative filtering toolkit",
     )
@@ -450,9 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _config_from_args(args)
         if args.command == "generate":
             return cmd_generate(config)
@@ -472,9 +481,6 @@ def main(argv=None) -> int:
     except ConetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DataError.exit_code
 
 
 if __name__ == "__main__":

@@ -231,6 +231,8 @@ def load_interactions(path, min_user_interactions: int = 3) -> InteractionDatase
                 per_user.setdefault(parts[0], {})[codes.setdefault(parts[1], len(codes))] = None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read interactions {path}: {exc}") from exc
     kept = [u for u, items in per_user.items() if len(items) >= min_user_interactions]
     if not kept:
         raise DataError(f"{path}: no interactions left after filtering")
@@ -621,6 +623,8 @@ def load_split_manifest(data: CrossDomainDataset, path) -> LooSplit:
             manifest = json.load(fh)
     except ValueError as exc:
         raise DataError(f"{path}: split manifest is not valid JSON ({exc})") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read split manifest {path}: {exc}") from exc
     missing = [key for key in _MANIFEST_KEYS if not isinstance(manifest, dict) or key not in manifest]
     if missing:
         raise DataError(f"{path}: split manifest lacks {', '.join(missing)}")

@@ -189,10 +189,6 @@ def _param_shapes(config: ModelConfig, sizes: DomainSizes) -> dict:
 # dead (and absorbing) state before any signal can grow.
 
 
-def _draw_matrix(rng, rows, cols):
-    return rng.normal(0.0, INIT_STD, size=(rows, cols))
-
-
 def build_model(config: ModelConfig, sizes: DomainSizes, seed: int) -> "Model":
     """Initialise a model of the configured architecture.
 
@@ -206,10 +202,10 @@ def build_model(config: ModelConfig, sizes: DomainSizes, seed: int) -> "Model":
     # tables, towers, coupling.
     params: dict = {}
     for name in dict.fromkeys(tower.user for tower in towers):
-        params[name] = _draw_matrix(derive_rng(seed, "init", name), *shapes[name])
+        params[name] = derive_rng(seed, "init", name).normal(0.0, INIT_STD, size=shapes[name])
     for tower in towers:
-        params[tower.items] = _draw_matrix(derive_rng(seed, "init", f"Q_{tower.domain[0]}"),
-                                           *shapes[tower.items])
+        rng = derive_rng(seed, "init", f"Q_{tower.domain[0]}")
+        params[tower.items] = rng.normal(0.0, INIT_STD, size=shapes[tower.items])
     for tower in towers:
         # Draw order is fixed: one weight matrix per layer, output weight last.
         rng = derive_rng(seed, "init", f"tower_{tower.domain[0]}")
@@ -222,20 +218,16 @@ def build_model(config: ModelConfig, sizes: DomainSizes, seed: int) -> "Model":
     rng = derive_rng(seed, "init", "H")
     for name in _coupling_names(config):
         if name.startswith("H_"):
-            params[name] = _draw_matrix(rng, *shapes[name])
+            params[name] = rng.normal(0.0, INIT_STD, size=shapes[name])
         else:
             params[name] = np.asarray(config.csn_alpha_init, dtype=np.float64)
     return Model(config, sizes, params)
 
 
-def _merge_embeddings(p, q, users, items):
-    # Sentinel item -1 contributes an all-zero item half (user with no
-    # history in that domain).
-    item_part = np.zeros((items.size, q.shape[1]))
-    valid = items >= 0
-    if valid.any():
-        item_part[valid] = q[items[valid]]
-    return np.concatenate([p[users], item_part], axis=1)
+def _lookup(table, index):
+    rows = table[index]
+    rows[index < 0] = 0.0  # the sentinel item -1 (no history) reads as zeros
+    return rows
 
 
 def _as_index_array(v) -> np.ndarray:
@@ -250,12 +242,10 @@ def _gather(a, rows):
 # one forward over every candidate row is slower, and past a few thousand
 # rows a chunk's activations outgrow the caches and the peak memory grows.
 _CHUNK_ROWS = 512
-# A BLAS gemm may round a row differently when the call has few rows
-# (OpenBLAS 0.3 does, below about 70 rows at the default widths); from
-# this many rows on, a row's bits match those of the 100-row call that
-# scoring one user's 100 candidates makes. Eval mode pads its per-user
-# source block to this size so that its rows carry the same bits, which
-# the per-user reference tests check.
+# OpenBLAS 0.3 may round a gemm row differently in a call of fewer than
+# about 70 rows. Eval mode pads the per-user source block that a cross
+# connection multiplies at transition 1 to this size, one user's 100
+# candidates, so that its rows keep the bits of the per-user reference.
 _MIN_BLOCK_ROWS = 100
 
 
@@ -329,9 +319,7 @@ class Model:
         self.frozen_cross = True
 
     def transfer_matrices(self) -> list:
-        if self.coupling != "cross":
-            return []
-        return [self.params[name] for name in self.coupling_names]
+        return [self.params[n] for n in self.coupling_names] if self.coupling == "cross" else []
 
     def update_group(self, domain: str):
         """Parameters updated by a batch of the given domain.
@@ -349,68 +337,72 @@ class Model:
 
     # -- forward
 
-    def _transition(self, k: int, acts: list, rows=None):
+    def _transition(self, k: int, acts: list, rows=None, target_only=False):
         """Inputs and pre-activations of hidden layer ``k`` from ``acts``.
 
         ``acts`` holds each tower's merged embedding for ``k = 0`` and its
         layer ``k - 1`` activations after; the coupling acts on the latter.
-        ``rows`` (eval mode) maps the target tower's rows to the rows of a
-        per-user source operand, which is gathered where it meets them.
+        Eval mode gathers a per-user source operand into the target rows by
+        ``rows``, and at its last layer computes the target tower alone.
         """
         p = self.params
-        inputs = acts
+        inputs = acts[:1] if target_only else acts
         if k and self.coupling == "stitch":
             keep, transfer = p[self.coupling_names[k - 1]]
             source = _gather(acts[1], rows)
-            inputs = [keep * acts[0] + transfer * source, keep * source + transfer * acts[0]]
+            mixes = ((acts[0], source), (source, acts[0]))[: len(inputs)]
+            inputs = [keep * own + transfer * other for own, other in mixes]
         pres = [a @ p[t.weights[k]].T + p[t.biases[k]] for t, a in zip(self.towers, inputs)]
         if k and self.coupling == "cross":
             h = p[self.coupling_names[k - 1]]
             pres[0] += _gather(acts[1] @ h.T, rows)
-            pres[1] = _gather(pres[1], rows)
-            pres[1] += acts[0] @ h.T
+            if not target_only:
+                pres[1] = _gather(pres[1], rows)
+                pres[1] += acts[0] @ h.T
         return inputs, pres
 
-    def forward_batch(self, users, items_target, items_source=None, rows=None) -> Trace:
+    def forward_batch(self, users, items_target, items_source=None, rows=None,
+                      halves=None) -> Trace:
         """Forward pass; ``items_source`` pairs a source item with each row.
 
-        Single-tower models ignore ``items_source``. Passing ``rows`` asks
-        for eval mode, which scores the target tower only: ``items_source``
-        then holds one item per user, ``rows[r]`` is the user of row ``r``
-        (an index into ``items_source``) and ``users[r]`` its user index.
-        A user's source input is the same on all of its rows, so the source
-        tower's layer 0 runs once per user and meets the target rows at
-        transition 1; ``mlp++``, whose towers never meet, skips it.
+        Single-tower models ignore ``items_source``. Passing ``rows`` and
+        ``halves`` asks for eval mode, which scores the target tower only:
+        ``items_source`` then holds one item per user, ``rows[r]`` is the
+        user of row ``r`` (an index into ``items_source``) and ``users[r]``
+        its user index. Layer 0 adds a row's entries of ``halves`` (see
+        ``score_candidates``); the source tower's runs once per user and
+        meets the target rows at transition 1, and its last layer is skipped.
         """
         users = _as_index_array(users)
-        towers = self.towers if rows is None or self.coupling else self.towers[:1]
+        towers = self.towers if rows is None else self.towers[: len(halves)]
         items = [_as_index_array(v) for v in (items_target, items_source)[: len(towers)]]
         if users.min(initial=0) < 0 or min(it.min(initial=-1) for it in items) < -1:
             raise IndexError("user indices must be >= 0 and item indices >= -1 (no item)")
-        tower_users = [users] * len(towers)
-        if rows is not None and len(towers) == 2:
-            # One source row per user, its user index read off the user's
-            # rows; padding rows take user 0 and no item.
-            rows = _as_index_array(rows)
-            padded = max(items[1].size, _MIN_BLOCK_ROWS)
-            tower_users[1] = np.zeros(padded, dtype=np.int64)
-            tower_users[1][rows] = users
-            items[1] = np.concatenate([items[1], np.full(padded - items[1].size, -1)])
-        p = self.params
-        acts = [_merge_embeddings(p[t.user], p[t.items], u, it)
-                for t, u, it in zip(towers, tower_users, items)]
+        p, depth = self.params, len(self.config.hidden_widths)
         trace = Trace(users=users, items=items, inputs=[], pres=[], acts=[], logits=[], probs=[])
-        for k in range(len(self.config.hidden_widths)):
-            inputs, pres = self._transition(k, acts, rows if k == 1 else None)
+        if rows is None:
+            acts = [np.concatenate([p[t.user][users], _lookup(p[t.items], it)], axis=1)
+                    for t, it in zip(towers, items)]
+        else:
+            tower_users = [users] * len(towers)
+            if len(towers) == 2:  # one source row per user, padded with user 0, no item
+                rows = _as_index_array(rows)
+                padded = max(items[1].size, _MIN_BLOCK_ROWS if self.coupling == "cross" else 0)
+                tower_users[1] = np.zeros(padded, dtype=np.int64)
+                tower_users[1][rows] = users
+                items[1] = np.concatenate([items[1], np.full(padded - items[1].size, -1)])
+            acts = [np.maximum(user_half[u] + _lookup(item_half, it), 0.0)
+                    for (user_half, item_half), u, it in zip(halves, tower_users, items)]
+        for k in range(0 if rows is None else 1, depth):
+            inputs, pres = self._transition(k, acts, rows if k == 1 else None,
+                                            rows is not None and k == depth - 1)
             acts = [np.maximum(pre, 0.0) for pre in pres]
             if rows is None:  # only backward reads these; eval mode frees them
                 trace.inputs.append(inputs)
                 trace.pres.append(pres)
                 trace.acts.append(acts)
-        for t, a in zip(towers if rows is None else towers[:1], acts):
-            logits = a @ p[t.out]
-            trace.logits.append(logits)
-            trace.probs.append(sigmoid(logits))
+        trace.logits = [a @ p[t.out] for t, a in zip(towers, acts)]
+        trace.probs = [sigmoid(logits) for logits in trace.logits]
         return trace
 
     # -- backward
@@ -497,7 +489,11 @@ class Model:
         """Target-domain probabilities of each user's row of ``candidates``.
 
         ``items_source`` pairs one source item (or -1) with each user of a
-        coupled model. Users are scored in chunks of whole users.
+        coupled model. Users are scored in chunks of whole users. Layer 0 is
+        linear in ``[p; q]``: a row adds its user's row of ``P W_0[:, :d]^T
+        + b_0`` and its item's row of ``Q W_0[:, d:]^T``, halves computed
+        once per call over whole tables so that a row's bits do not depend
+        on the users sharing the call.
         """
         users = _as_index_array(users)
         candidates = np.asarray(candidates, dtype=np.int64).reshape(users.size, -1)
@@ -506,11 +502,15 @@ class Model:
         per_user = candidates.shape[1]
         step = max(1, _CHUNK_ROWS // per_user)
         scores = np.empty(candidates.shape)
+        d, p = self.config.embedding_dim, self.params
+        coupled = self.coupling and len(self.config.hidden_widths) > 1  # source reaches target
+        halves = [(p[t.user] @ p[t.weights[0]][:, :d].T + p[t.biases[0]],
+                   p[t.items] @ p[t.weights[0]][:, d:].T)
+                  for t in (self.towers if coupled else self.towers[:1])]
         for start in range(0, users.size, step):
             chunk = slice(start, start + step)
-            n = users[chunk].size
-            rows = np.repeat(np.arange(n), per_user)
+            rows = np.repeat(np.arange(users[chunk].size), per_user)
             trace = self.forward_batch(users[chunk][rows], candidates[chunk].ravel(),
-                                       sources[chunk], rows=rows)
-            scores[chunk] = trace.probs[0].reshape(n, per_user)
+                                       sources[chunk], rows=rows, halves=halves)
+            scores[chunk] = trace.probs[0].reshape(-1, per_user)
         return scores

@@ -14,7 +14,7 @@ from conet.data import CrossDomainDataset, InteractionDataset, loo_split
 from conet.errors import NumericError
 from conet.evaluation import MetricsReport, RankingResult, hit_ratio, mrr, ndcg
 from conet.models import DomainSizes, Model, ModelConfig, build_model
-from conet.numerics import derive_rng
+from conet.numerics import derive_rng, sigmoid
 from conet.training import cross_entropy_from_logits
 
 
@@ -195,8 +195,38 @@ def reference_evaluate(score_user, split, partition="test", top_n=10):
     return np.stack(rows), report
 
 
+def factored_forward(model, users, items_target, items_source=None):
+    """Target probabilities of a forward whose layer 0 is split at ``d``.
+
+    Layer 0 of each tower reads ``(P W_0[:, :d]^T + b_0)[user] +
+    (Q W_0[:, d:]^T)[item]`` off products over the whole tables, an item
+    of -1 adding zero; every later layer of both towers runs on every row,
+    as in training mode.
+    """
+    p, d = model.params, model.config.embedding_dim
+    acts = []
+    for tower, items in zip(model.towers, (items_target, items_source)):
+        w = p[tower.weights[0]]
+        user_half = p[tower.user] @ w[:, :d].T + p[tower.biases[0]]
+        item_half = p[tower.items] @ w[:, d:].T
+        items = np.asarray(items, dtype=np.int64)
+        item_rows = np.where((items >= 0)[:, None], item_half[items], 0.0)
+        acts.append(np.maximum(user_half[np.asarray(users)] + item_rows, 0.0))
+    for k in range(1, len(model.config.hidden_widths)):
+        weights = [(p[t.weights[k]], p[t.biases[k]]) for t in model.towers]
+        if model.coupling == "stitch":
+            keep, transfer = p[f"alpha_{k - 1}"]
+            acts = [keep * acts[0] + transfer * acts[1], keep * acts[1] + transfer * acts[0]]
+        pres = [a @ w.T + b for (w, b), a in zip(weights, acts)]
+        if model.coupling == "cross":
+            h = p[f"H_{k - 1}"]
+            pres = [pres[0] + acts[1] @ h.T, pres[1] + acts[0] @ h.T]
+        acts = [np.maximum(pre, 0.0) for pre in pres]
+    return sigmoid(acts[0] @ p[model.towers[0].out])
+
+
 def per_user_scorer(model, split):
-    """``score_user`` of one training-mode forward per user.
+    """``score_user`` of one factored forward per user.
 
     Every row of a user pairs the source tower with the user's
     smallest-index source item, or with -1 when the user has none.
@@ -207,8 +237,7 @@ def per_user_scorer(model, split):
         history = source.items_of(user)
         paired = int(history[0]) if history.size else -1
         rows = len(candidates)
-        return model.forward_batch(np.full(rows, user), candidates,
-                                   np.full(rows, paired)).probs[0]
+        return factored_forward(model, np.full(rows, user), candidates, np.full(rows, paired))
 
     return score_user
 

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import struct
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -391,6 +393,30 @@ class TestMalformedInput:
         code = main(["sparsity-report", "--history", str(history), "--out", str(tmp_path / "sp")])
         self.assert_one_line_error(capsys, code, 3)
 
+    @pytest.mark.parametrize("verb,flag", [("evaluate", "--checkpoint"), ("evaluate", "--split"),
+                                           ("train", "--target")])
+    def test_directory_input_is_data_error(self, tmp_path, capsys, frozen_run, verb, flag):
+        data, run = frozen_run
+        paths = {"--target": data / "target.tsv", "--source": data / "source.tsv"}
+        if verb == "evaluate":
+            paths.update({"--checkpoint": run / "model.ckpt", "--split": run / "split.json"})
+        paths[flag] = tmp_path
+        capsys.readouterr()
+        code = main([verb, *NET_FLAGS, "--epochs", "0", "--out", str(tmp_path / "o"),
+                     *(str(v) for item in paths.items() for v in item)])
+        self.assert_one_line_error(capsys, code, 3)
+
+    def test_output_path_that_is_a_file_is_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        self.assert_one_line_error(capsys, main(["train", "--out", str(taken)]), 2)
+
+    def test_missing_required_flag_is_one_line_usage_error(self, capsys):
+        self.assert_one_line_error(capsys, main(["evaluate"]), 2)
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--help"])
+        assert exc.value.code == 0 and "--checkpoint" in capsys.readouterr().out
+
 
 @pytest.fixture(scope="module")
 def frozen_run(tmp_path_factory):
@@ -400,6 +426,32 @@ def frozen_run(tmp_path_factory):
     code, run = train(tmp_path, data, extra=["--epochs", "0"])
     assert code == 0
     return data, run
+
+
+PATH_FLAGS = {
+    "train": ("--config", "--target", "--source", "--split", "--out"),
+    "evaluate": ("--config", "--checkpoint", "--target", "--source", "--split", "--out"),
+    "compare": ("--config", "--target", "--source", "--split", "--out"),
+    "sparsity-report": ("--config", "--checkpoint", "--history", "--out"),
+}
+PATH_CONTENTS = {"file": b"hello world\n", "empty": b"", "non_utf8": b"\xff\xfe\x80\n"}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(verb=st.sampled_from(sorted(PATH_FLAGS)), data=st.data())
+def test_unusable_path_flags_exit_2_or_3(tmp_path_factory, verb, data):
+    """Every path flag missing, a directory or a bad file: an error exit, never a traceback."""
+    root = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    argv = [verb, "--archs", "mlp"] if verb == "compare" else [verb]
+    for flag in PATH_FLAGS[verb]:
+        kind = data.draw(st.sampled_from(["missing", "directory", *PATH_CONTENTS]), label=flag)
+        path = root / f"{flag[2:]}-{kind}"
+        if kind == "directory":
+            path.mkdir()
+        elif kind in PATH_CONTENTS:
+            path.write_bytes(PATH_CONTENTS[kind])
+        argv += [flag, str(path)]
+    assert main(argv) in (2, 3)
 
 
 MANIFEST_KEYS = ("num_users", "num_items_target", "num_items_source",

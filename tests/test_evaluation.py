@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -272,16 +273,21 @@ def acceptance_split():
 ARCHS = ("mlp", "mlp++", "csn", "conet", "sconet")
 
 
+def candidate_matrix(split, partition="test"):
+    """Sorted evaluated users and their ``(U, 100)`` candidates, held-out item first."""
+    held = split.test if partition == "test" else split.validation
+    users = np.asarray(sorted(held))
+    return users, np.stack([np.concatenate([[held[u]], split.eval_negatives[u]])
+                            for u in users.tolist()])
+
+
 class TestBatchedScoring:
     """One batched call per evaluation against one forward per user, bit for bit."""
 
     def assert_matches_per_user(self, model, split, partition):
         expected_scores, expected = reference_evaluate(per_user_scorer(model, split), split,
                                                        partition)
-        held = split.test if partition == "test" else split.validation
-        users = np.asarray(sorted(held))
-        candidates = np.stack([np.concatenate([[held[u]], split.eval_negatives[u]])
-                               for u in users.tolist()])
+        users, candidates = candidate_matrix(split, partition)
         scores = make_scorer(model, split).score_items(users, candidates)
         assert np.array_equal(scores, expected_scores)
         assert evaluate(make_scorer(model, split), split, partition) == expected
@@ -303,6 +309,51 @@ class TestBatchedScoring:
         model = generic_model(arch, split)
         for partition in ("test", "validation"):
             self.assert_matches_per_user(model, split, partition)
+
+
+@pytest.fixture(scope="module")
+def sourceless_quarter_split(acceptance_split):
+    """The acceptance split with every fourth user's source history removed."""
+    source = acceptance_split.train.source
+    adjacency = [items if u % 4 else [] for u, items in enumerate(source.adjacency)]
+    train = CrossDomainDataset(target=acceptance_split.train.target,
+                               source=InteractionDataset(source.num_users, source.num_items,
+                                                         adjacency))
+    return dataclasses.replace(acceptance_split, train=train)
+
+
+class TestFactoredLayerZero:
+    """Eval mode's layer 0 reads whole-table halves instead of the merged embedding."""
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_within_1e_12_of_training_forward(self, sourceless_quarter_split, arch):
+        split = sourceless_quarter_split
+        model = generic_model(arch, split)
+        users, candidates = candidate_matrix(split)
+        scores = make_scorer(model, split).score_items(users, candidates)
+        indptr, indices = split.train.source.indptr, split.train.source.indices
+        paired = np.where(indptr[users + 1] > indptr[users], indices[indptr[users]], -1)
+        assert np.count_nonzero(paired == -1) == np.count_nonzero(users % 4 == 0) > 0
+        for start in range(0, users.size, 50):
+            chunk = slice(start, start + 50)
+            trace = model.forward_batch(np.repeat(users[chunk], 100), candidates[chunk].ravel(),
+                                        np.repeat(paired[chunk], 100))
+            np.testing.assert_allclose(scores[chunk].ravel(), trace.probs[0],
+                                       rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_scores_do_not_depend_on_the_other_users_of_a_call(self, sourceless_quarter_split,
+                                                             arch):
+        split = sourceless_quarter_split
+        scorer = make_scorer(generic_model(arch, split), split)
+        users, candidates = candidate_matrix(split)
+        together = scorer.score_items(users, candidates)
+        # Reversed and one user short, so that every chunk groups other users.
+        backwards = scorer.score_items(users[:0:-1], candidates[:0:-1])[::-1]
+        assert np.array_equal(backwards, together[1:])
+        for row in range(0, users.size, 9):
+            alone = scorer.score_items(users[row : row + 1], candidates[row : row + 1])
+            assert np.array_equal(alone[0], together[row])
 
 
 class TestPairedTTest:

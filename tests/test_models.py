@@ -12,7 +12,7 @@ from conet.models import (
     lasso_penalty,
 )
 from conftest import TINY_SIZES as TINY
-from conftest import cross_unit, embed_lookup, gradient_check, model_with
+from conftest import cross_unit, embed_lookup, factored_forward, gradient_check, model_with
 from conftest import tiny_model_config as tiny_config
 from conftest import tiny_scaled_model as scaled_model
 
@@ -211,8 +211,10 @@ class TestBaseForward:
         candidates = np.tile(np.arange(TINY.num_items_target), (users.size, 1))
         probs = model.score_candidates(users, candidates)
         for u in users:
-            per_user = model.forward_batch(np.full(TINY.num_items_target, u), candidates[u])
-            assert np.array_equal(probs[u], per_user.probs[0])
+            rows = np.full(TINY.num_items_target, u)
+            assert np.array_equal(probs[u], factored_forward(model, rows, candidates[u]))
+            per_user = model.forward_batch(rows, candidates[u])
+            np.testing.assert_allclose(probs[u], per_user.probs[0], rtol=1e-12, atol=0)
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     def test_shape_chain_rejected_at_construction(self):
@@ -296,7 +298,10 @@ class TestConetForward:
         trace = model.forward_batch(np.zeros(3, dtype=int), np.arange(3),
                                     np.full(3, -1, dtype=int))
         assert np.array_equal(trace.inputs[0][1][:, 4:], np.zeros((3, 4)))
-        assert np.array_equal(probs, trace.probs[0])
+        reference = factored_forward(model, np.zeros(3, dtype=int), np.arange(3),
+                                     np.full(3, -1, dtype=int))
+        assert np.array_equal(probs, reference)
+        np.testing.assert_allclose(probs, trace.probs[0], rtol=1e-12, atol=0)
         assert np.all((probs > 0) & (probs < 1))
 
 

@@ -19,8 +19,8 @@ from conet.training import (
     sparsity_ratio,
 )
 
-from conftest import (cross_entropy_loss, make_cross_domain, reference_adam_step,
-                      reference_pairing)
+from conftest import (cross_entropy_loss, factored_forward, make_cross_domain,
+                      reference_adam_step, reference_pairing)
 
 
 def small_model(arch="conet", lam=0.1, sizes=None, seed=0):
@@ -246,8 +246,8 @@ class TestPairSourceItem:
         model = small_model(sizes=sizes_of(split))
         items = np.arange(100)
         scored = make_scorer(model, split).score_items([user], [items])[0]
-        per_user = model.forward_batch(np.full(100, user), items, np.full(100, source_item))
-        assert np.array_equal(scored, per_user.probs[0])
+        reference = factored_forward(model, np.full(100, user), items, np.full(100, source_item))
+        assert np.array_equal(scored, reference)
         return scored
 
     def test_single_interaction_forced_in_both_modes(self):
