@@ -8,10 +8,11 @@ The script exports ``PARENT_REF`` with ``git archive`` into a temporary
 directory and generates the small data set of acceptance criterion 9
 with it. Then, in the exported tree and in this checkout's working tree,
 each with BLAS pinned to one thread, it runs ``conet train`` and
-``conet evaluate`` for each of the five architectures, and one five-arm
-``conet compare --workers 2``, all on that same data. Each of the
-artifacts below is compared byte for byte; ``config.txt`` and every other
-file are skipped. It prints one line per artifact and exits 0 when all
+``conet evaluate`` for each of the five architectures, one five-arm
+``conet compare --workers 2``, ``conet lambda-sweep --lambdas 0,0.1,1``
+and ``conet reduce-study --levels 0,1,2``, all on that same data. Each
+of the artifacts below is compared byte for byte; ``config.txt`` and
+every other file are skipped. It prints one line per artifact and exits 0 when all
 are identical, 1 when one differs or is missing, and 2 when a run fails.
 """
 
@@ -63,6 +64,10 @@ def run_tree(tree: Path, data: Path, out: Path) -> None:
               run / "split.json", *inputs, "--out", out / f"evaluate-{arch}")
     conet(tree, "compare", "--archs", ",".join(ARCHS), "--workers", "2", *widths("compare"),
           *TRAIN, *inputs, "--out", out / "compare")
+    conet(tree, "lambda-sweep", "--lambdas", "0,0.1,1", *widths("conet"), *TRAIN, *inputs,
+          "--out", out / "lambda-sweep")
+    conet(tree, "reduce-study", "--levels", "0,1,2", *widths("sconet"), *TRAIN, *inputs,
+          "--out", out / "reduce-study")
 
 
 def compare_outputs(parent: Path, change: Path) -> list:

@@ -4,8 +4,9 @@ Verbs: generate, train, evaluate, compare, reduce-study, sparsity-report,
 lambda-sweep. Every command reads an optional flat ``key = value`` config
 file, applies flag overrides, resolves its output directory (relative to
 ``CONET_OUTPUT_ROOT`` when set) and echoes the fully resolved config next
-to its outputs. Exit codes: 0 success, 2 configuration error, 3 data
-error, 4 numeric divergence.
+to its outputs. Exit codes: 0 success, 2 configuration error or an
+output that cannot be written, 3 data error, 4 numeric divergence, 130
+interrupted.
 """
 
 from __future__ import annotations
@@ -481,6 +482,13 @@ def main(argv=None) -> int:
     except ConetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:
+        # Inputs are read behind DataError, so what is left is a failed write.
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

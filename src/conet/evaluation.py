@@ -55,8 +55,8 @@ class MetricsReport:
     top_n: int
     num_evaluated_users: int
 
-    def to_jsonable(self, model: str = "", dataset: str = "", include_per_user: bool = True) -> dict:
-        record = {
+    def to_jsonable(self, model: str = "", dataset: str = "") -> dict:
+        return {
             "model": model,
             "dataset": dataset,
             "topN": self.top_n,
@@ -64,10 +64,8 @@ class MetricsReport:
             "ndcg": self.ndcg,
             "mrr": self.mrr,
             "num_users": self.num_evaluated_users,
+            "per_user": [[r.user, r.position] for r in self.per_user],
         }
-        if include_per_user:
-            record["per_user"] = [[r.user, r.position] for r in self.per_user]
-        return record
 
 
 def _check_nonempty(results):

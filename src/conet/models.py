@@ -51,6 +51,9 @@ ARCHITECTURES = ("mlp", "mlp++", "csn", "conet")
 # Coupling step at each hidden transition, per architecture.
 _COUPLING = {"mlp": None, "mlp++": None, "csn": "stitch", "conet": "cross"}
 
+# Initial cross-stitch pair (self weight, transfer weight) of every alpha_k.
+CSN_ALPHA_INIT = (0.9, 0.1)
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -65,7 +68,6 @@ class ModelConfig:
     architecture: str = "conet"
     embedding_dim: int = 32
     hidden_widths: tuple = (64, 32, 16, 8)
-    csn_alpha_init: tuple = (0.9, 0.1)
     lasso_lambda: float = 0.1
     share_user_embedding: bool = True
 
@@ -89,8 +91,6 @@ class ModelConfig:
                 "cross-stitch units mix same-shaped activations and cannot connect "
                 f"hidden layers of different widths; got {tuple(self.hidden_widths)}"
             )
-        if len(self.csn_alpha_init) != 2:
-            raise ConfigError("csn_alpha_init must be a (self, transfer) pair")
         if not math.isfinite(self.lasso_lambda) or self.lasso_lambda < 0:
             raise ConfigError(f"lasso_lambda must be finite and >= 0, got {self.lasso_lambda}")
         if not self.share_user_embedding and self.architecture != "mlp++":
@@ -220,7 +220,7 @@ def build_model(config: ModelConfig, sizes: DomainSizes, seed: int) -> "Model":
         if name.startswith("H_"):
             params[name] = rng.normal(0.0, INIT_STD, size=shapes[name])
         else:
-            params[name] = np.asarray(config.csn_alpha_init, dtype=np.float64)
+            params[name] = np.asarray(CSN_ALPHA_INIT, dtype=np.float64)
     return Model(config, sizes, params)
 
 

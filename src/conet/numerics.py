@@ -45,14 +45,12 @@ def sigmoid(x):
     """Logistic function, stable for arguments out to +/-700.
 
     Uses the exp-of-negative-magnitude form so the exponential never
-    overflows. Accepts scalars or arrays.
+    overflows; ``min(x, -x)`` is ``-|x|`` that keeps the sign bit of a NaN
+    argument. Accepts scalars or arrays.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out

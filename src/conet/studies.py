@@ -2,9 +2,13 @@
 
 Every study freezes one leave-one-out split and trains all arms against
 it with the same seed, so per-user paired t-tests compare models under
-identical conditions. Independent arms may train in parallel worker
-threads; results are collected in arm order, so the report does not
-depend on scheduling.
+identical conditions. Each driver builds a list of ``(config, split)``
+arms and hands it to one runner, which validates every config first,
+trains the arms (in parallel worker threads if asked), and t-tests each
+against the baseline arm. An arm returns only what the report reads:
+its test metrics, its epoch count and the zero ratio of each transfer
+matrix; its model is dropped when the arm ends. Results are collected in
+arm order, so the report does not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -101,19 +105,34 @@ def model_config_for(arch: str, base: ModelConfig) -> ModelConfig:
 
 
 def _train_and_evaluate(config: ModelConfig, split: LooSplit, train_config: TrainConfig):
+    """Train one arm; return ``(test report, epochs trained, H zero ratios)``."""
     model = build_model(config, DomainSizes.from_split(split), train_config.seed)
-    trainer = Trainer(model, split, train_config)
-    stats = trainer.fit()
+    stats = Trainer(model, split, train_config).fit()
     report = evaluate(make_scorer(model, split), split, partition="test")
-    return model, stats, report
+    return report, len(stats), [sparsity_ratio(h) for h in model.transfer_matrices()]
 
 
-def _run_arms(jobs, workers: int):
+def _run_arms(arms, baseline: int, train_config: TrainConfig, workers: int) -> list:
+    """Train ``(config, split)`` arms and t-test each one against arm ``baseline``.
+
+    Every config is validated before any arm trains. Returns one
+    ``(report, epochs_trained, h_zero_ratios, p_value)`` per arm, in arm
+    order, whatever the number of worker threads.
+    """
+    for config, _ in arms:
+        config.validate()
+
+    def run(arm):
+        return _train_and_evaluate(*arm, train_config)
+
     if workers <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
+        results = [run(arm) for arm in arms]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, arms))
+    base_vector = ndcg_contributions(results[baseline][0].per_user)
+    return [(*result, paired_t_test(ndcg_contributions(result[0].per_user), base_vector))
+            for result in results]
 
 
 def compare_architectures(split: LooSplit, archs, base_config: ModelConfig,
@@ -127,38 +146,24 @@ def compare_architectures(split: LooSplit, archs, base_config: ModelConfig,
     """
     if len(archs) < 1:
         raise ConfigError("compare needs at least one architecture")
-    # Resolve and validate every arm before any training starts.
-    configs = {arch: model_config_for(arch, base_config) for arch in archs}
-    for cfg in configs.values():
-        cfg.validate()
+    configs = [model_config_for(arch, base_config) for arch in archs]
     if baseline is None:
         baseline = "mlp" if "mlp" in archs else archs[0]
     if baseline not in archs:
         raise ConfigError(f"baseline {baseline!r} is not among the compared architectures")
 
-    results = _run_arms(
-        [lambda a=arch: _train_and_evaluate(configs[a], split, train_config) for arch in archs],
-        workers,
-    )
-    by_arch = dict(zip(archs, results))
-    base_vector = ndcg_contributions(by_arch[baseline][2].per_user)
+    results = _run_arms([(cfg, split) for cfg in configs], archs.index(baseline),
+                        train_config, workers)
     rows = []
-    for arch in archs:
-        model, stats, report = by_arch[arch]
-        vec = ndcg_contributions(report.per_user)
+    for arch, cfg, (report, epochs, ratios, p_value) in zip(archs, configs, results):
         details = {
-            "architecture": configs[arch].architecture,
-            "lambda": configs[arch].lasso_lambda,
-            "epochs_trained": len(stats),
+            "architecture": cfg.architecture,
+            "lambda": cfg.lasso_lambda,
+            "epochs_trained": epochs,
         }
-        if configs[arch].architecture == "conet":
-            details["h_zero_ratios"] = [sparsity_ratio(h) for h in model.transfer_matrices()]
-        rows.append(StudyRow(
-            condition=arch,
-            metrics=report,
-            p_value=paired_t_test(vec, base_vector),
-            details=details,
-        ))
+        if cfg.architecture == "conet":
+            details["h_zero_ratios"] = ratios
+        rows.append(StudyRow(condition=arch, metrics=report, p_value=p_value, details=details))
     return StudyReport(kind="compare", baseline=baseline, seed=train_config.seed, rows=rows)
 
 
@@ -169,31 +174,25 @@ def lambda_sweep(split: LooSplit, lambdas, base_config: ModelConfig,
         raise ConfigError("lambda sweep needs at least one value")
     if any(not math.isfinite(lam) or lam < 0 for lam in lambdas):
         raise ConfigError("penalty weights must be finite and >= 0")
-    configs = [replace(base_config, architecture="conet", lasso_lambda=float(lam))
-               for lam in lambdas]
-    for cfg in configs:
-        cfg.validate()
-    results = _run_arms(
-        [lambda c=cfg: _train_and_evaluate(c, split, train_config) for cfg in configs],
-        workers,
-    )
-    base_vector = ndcg_contributions(results[0][2].per_user)
-    rows = []
-    for lam, cfg, (model, stats, report) in zip(lambdas, configs, results):
-        ratios = [sparsity_ratio(h) for h in model.transfer_matrices()]
-        rows.append(StudyRow(
+    arms = [(replace(base_config, architecture="conet", lasso_lambda=float(lam)), split)
+            for lam in lambdas]
+    rows = [
+        StudyRow(
             condition=f"lambda={lam:g}",
             metrics=report,
-            p_value=paired_t_test(ndcg_contributions(report.per_user), base_vector),
+            p_value=p_value,
             details={
                 "lambda": float(lam),
                 "h_zero_ratios": ratios,
                 "mean_zero_ratio": sum(ratios) / len(ratios) if ratios else 0.0,
-                "epochs_trained": len(stats),
+                "epochs_trained": epochs,
             },
-        ))
-    baseline = rows[0].condition
-    return StudyReport(kind="lambda-sweep", baseline=baseline, seed=train_config.seed, rows=rows)
+        )
+        for lam, (report, epochs, ratios, p_value)
+        in zip(lambdas, _run_arms(arms, 0, train_config, workers))
+    ]
+    return StudyReport(kind="lambda-sweep", baseline=rows[0].condition,
+                       seed=train_config.seed, rows=rows)
 
 
 def reduce_study(split: LooSplit, levels, base_config: ModelConfig,
@@ -207,22 +206,15 @@ def reduce_study(split: LooSplit, levels, base_config: ModelConfig,
     levels = sorted(set(int(k) for k in levels))
     if any(k < 0 for k in levels):
         raise ConfigError("removal levels must be >= 0")
-    mlp_config = model_config_for("mlp", base_config)
     sconet_config = model_config_for("sconet", base_config)
-    mlp_config.validate()
-    sconet_config.validate()
-
     reductions = [
         reduce_training(split, level, derive_rng(train_config.seed, "reduce", level))
         for level in levels
     ]
-    jobs = [lambda: _train_and_evaluate(mlp_config, split, train_config)]
-    jobs += [lambda r=red: _train_and_evaluate(sconet_config, r.split, train_config)
-             for red in reductions]
-    results = _run_arms(jobs, workers)
+    arms = [(model_config_for("mlp", base_config), split)]
+    arms += [(sconet_config, red.split) for red in reductions]
+    (mlp_report, mlp_epochs, _, _), *results = _run_arms(arms, 0, train_config, workers)
 
-    _, mlp_stats, mlp_report = results[0]
-    mlp_vector = ndcg_contributions(mlp_report.per_user)
     rows = [StudyRow(
         condition="mlp",
         metrics=mlp_report,
@@ -232,15 +224,15 @@ def reduce_study(split: LooSplit, levels, base_config: ModelConfig,
             "removed": 0,
             "removed_percent": 0.0,
             "train_size": split.train.target.num_interactions,
-            "epochs_trained": len(mlp_stats),
+            "epochs_trained": mlp_epochs,
         },
     )]
     crossover = None
-    for level, red, (model, stats, report) in zip(levels, reductions, results[1:]):
+    for level, red, (report, epochs, _, p_value) in zip(levels, reductions, results):
         rows.append(StudyRow(
             condition=f"sconet-remove-{level}",
             metrics=report,
-            p_value=paired_t_test(ndcg_contributions(report.per_user), mlp_vector),
+            p_value=p_value,
             details={
                 "architecture": "conet",
                 "lambda": sconet_config.lasso_lambda,
@@ -248,7 +240,7 @@ def reduce_study(split: LooSplit, levels, base_config: ModelConfig,
                 "removed": red.removed,
                 "removed_percent": 100.0 * red.removed_fraction,
                 "train_size": red.split.train.target.num_interactions,
-                "epochs_trained": len(stats),
+                "epochs_trained": epochs,
             },
         ))
         if crossover is None and report.ndcg < mlp_report.ndcg:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -47,15 +47,11 @@ class TrainConfig:
     negative_ratio: int = 1
     epochs: int = 30
     patience: Optional[int] = 5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.learning_rate):
+            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if self.batch_size < 1:
@@ -193,17 +189,7 @@ class EpochStats:
     h_zero_ratios: list
 
     def to_json_line(self) -> str:
-        record = {
-            "epoch": self.epoch,
-            "loss_target": self.loss_target,
-            "loss_source": self.loss_source,
-            "penalty": self.penalty,
-            "val_hr": self.val_hr,
-            "val_ndcg": self.val_ndcg,
-            "val_mrr": self.val_mrr,
-            "h_zero_ratios": list(self.h_zero_ratios),
-        }
-        return json.dumps(record)
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json_line(cls, line: str) -> "EpochStats":
@@ -266,8 +252,7 @@ class Trainer:
         self.model = model
         self.split = split
         self.config = config
-        self.optimizer = Adam(config.learning_rate, config.adam_beta1,
-                              config.adam_beta2, config.adam_epsilon)
+        self.optimizer = Adam(config.learning_rate)
         self._epoch = 0
         self._batch_rng = {
             "target": derive_rng(config.seed, "batches", "target"),

@@ -63,6 +63,18 @@ def cross_unit(w_t, b_t, w_s, b_s, h, a_t, a_s):
     return affine(w_t, b_t, a_t) + h @ a_s, affine(w_s, b_s, a_s) + h @ a_t
 
 
+def mask_sigmoid(x):
+    """Logistic function by sign masks: ``1 / (1 + exp(-x))`` where ``x >= 0``,
+    ``exp(x) / (1 + exp(x))`` elsewhere, each side gathered and scattered."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def cross_entropy_loss(predictions, labels):
     """Summed binary cross-entropy from probabilities strictly in (0, 1)."""
     p = np.asarray(predictions, dtype=np.float64)

@@ -411,6 +411,23 @@ class TestMalformedInput:
         taken.write_text("")
         self.assert_one_line_error(capsys, main(["train", "--out", str(taken)]), 2)
 
+    def test_unwritable_artifact_in_existing_out_dir_is_config_error(self, tmp_path, capsys,
+                                                                     frozen_run):
+        data, run = frozen_run
+        (tmp_path / "ev" / "metrics.json").mkdir(parents=True)
+        capsys.readouterr()
+        code = main(["evaluate", "--checkpoint", str(run / "model.ckpt"),
+                     "--target", str(data / "target.tsv"), "--source", str(data / "source.tsv"),
+                     "--split", str(run / "split.json"), "--out", str(tmp_path / "ev")])
+        self.assert_one_line_error(capsys, code, 2)
+
+    def test_interrupt_is_one_line_and_exit_130(self, tmp_path, capsys, monkeypatch):
+        def interrupted(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("conet.cli.cmd_generate", interrupted)
+        self.assert_one_line_error(capsys, main(["generate", "--out", str(tmp_path / "o")]), 130)
+
     def test_missing_required_flag_is_one_line_usage_error(self, capsys):
         self.assert_one_line_error(capsys, main(["evaluate"]), 2)
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ from conet.errors import ConfigError, NumericError
 from conet.models import DomainSizes, ModelConfig, build_model
 from conet.numerics import derive_rng, sigmoid
 
-from conftest import affine, finite_difference_gradient, model_with
+from conftest import affine, finite_difference_gradient, mask_sigmoid, model_with
 
 
 def mlp_with(widths, **params):
@@ -107,6 +107,18 @@ class TestSigmoid:
     @given(st.floats(min_value=-50, max_value=50))
     def test_complement_identity(self, x):
         assert abs(sigmoid(x) + sigmoid(-x) - 1.0) < 1e-12
+
+    def test_bit_equal_to_the_sign_mask_form(self):
+        # Scoring ranks on these probabilities, so the elementwise form
+        # must keep every bit of the gather-and-scatter form.
+        draws = derive_rng(0, "sigmoid").normal(0.0, 8.0, size=100_003)
+        edges = np.array([0.0, -0.0, 700.0, -700.0, 800.0, -800.0, np.inf, -np.inf,
+                          np.nan, -np.nan, 5e-324, -5e-324, 37.0, -37.0, 1e-300, -1e-300])
+        for x in (draws, draws[::7], edges, draws.reshape(-1, 1)[:500].T):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                out = sigmoid(x)
+            assert out.shape == x.shape
+            assert out.tobytes() == mask_sigmoid(x).tobytes()
 
     def test_array_input(self):
         out = sigmoid(np.array([0.0, 1.0]))

@@ -6,9 +6,11 @@ import pytest
 
 from conet.data import loo_split, reduce_training
 from conet.errors import ConfigError
+from conet.evaluation import MetricsReport, RankingResult
 from conet.models import ModelConfig
 from conet.numerics import derive_rng
 from conet.studies import (
+    _train_and_evaluate,
     compare_architectures,
     lambda_sweep,
     model_config_for,
@@ -72,6 +74,25 @@ class TestCompare:
                                        baseline="mlp++")
         assert report.baseline == "mlp++"
         assert report.rows[1].p_value == 1.0
+
+    def test_repeated_arch_keeps_each_arm_result(self, split, monkeypatch):
+        # Rows follow arm positions: a repeated architecture is two arms,
+        # each row its own arm's report, the baseline the first of them.
+        reports = iter([
+            MetricsReport(hr, hr, hr, [RankingResult(u, p) for u, p in enumerate(positions)],
+                          10, 3)
+            for hr, positions in ((0.25, (1, 50, 50)), (0.75, (1, 1, 50)))
+        ])
+        monkeypatch.setattr("conet.studies._train_and_evaluate",
+                            lambda config, split, train_config: (next(reports), 1, []))
+        first, second = compare_architectures(split, ["mlp", "mlp"], BASE, FAST).rows
+        assert (first.metrics.hr, second.metrics.hr) == (0.25, 0.75)
+        assert first.p_value == 1.0 and second.p_value < 1.0
+
+    def test_arm_result_holds_no_model(self, split):
+        report, epochs, ratios = _train_and_evaluate(BASE, split, FAST)
+        assert isinstance(report, MetricsReport)
+        assert epochs == FAST.epochs and len(ratios) == BASE.num_transfer_matrices
 
     def test_csn_width_refusal_happens_before_training(self, split):
         bad = ModelConfig(architecture="conet", embedding_dim=4, hidden_widths=(8, 4, 2))
