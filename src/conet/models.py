@@ -271,7 +271,12 @@ class Trace:
     pres: list
     acts: list
     logits: list
-    probs: list
+
+    @property
+    def probs(self) -> list:
+        """``sigmoid`` of each tower's logits, computed on access: a loss
+        that reads the logits alone does not pay for them."""
+        return [sigmoid(logits) for logits in self.logits]
 
 
 class Model:
@@ -379,7 +384,7 @@ class Model:
         if users.min(initial=0) < 0 or min(it.min(initial=-1) for it in items) < -1:
             raise IndexError("user indices must be >= 0 and item indices >= -1 (no item)")
         p, depth = self.params, len(self.config.hidden_widths)
-        trace = Trace(users=users, items=items, inputs=[], pres=[], acts=[], logits=[], probs=[])
+        trace = Trace(users=users, items=items, inputs=[], pres=[], acts=[], logits=[])
         if rows is None:
             acts = [np.concatenate([p[t.user][users], _lookup(p[t.items], it)], axis=1)
                     for t, it in zip(towers, items)]
@@ -402,7 +407,6 @@ class Model:
                 trace.pres.append(pres)
                 trace.acts.append(acts)
         trace.logits = [a @ p[t.out] for t, a in zip(towers, acts)]
-        trace.probs = [sigmoid(logits) for logits in trace.logits]
         return trace
 
     # -- backward
@@ -449,9 +453,10 @@ class Model:
         live = [i for i, y in enumerate(labels) if self.coupling or y is not None]
         towers = [self.towers[i] for i in live]
 
+        probs = trace.probs
         d_a = []
         for i, t in zip(live, towers):
-            d_logit = (trace.probs[i] - np.asarray(labels[i], dtype=np.float64)
+            d_logit = (probs[i] - np.asarray(labels[i], dtype=np.float64)
                        if labels[i] is not None else np.zeros(trace.users.size))
             if t.out in want:
                 grads[t.out] += d_logit @ trace.acts[-1][i]

@@ -77,7 +77,7 @@ def cross_entropy_from_logits(logits, labels) -> float:
     z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-    return float(np.sum(softplus - y * z))
+    return float((softplus - y * z).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -326,16 +326,19 @@ def gradient_check(arch, seed, batch=8, rtol=1e-5, atol=1e-8, unshared=False):
     shapes = {n: model.params[n].shape for n in names}
     theta0 = flatten_params(model.params, names)
 
-    def loss_at(theta):
-        saved = model.params
-        model.params = unflatten_params(theta, shapes, names)
-        value = joint_loss_of(model, users, items_t, items_s, labels_t, labels_s)
-        model.params = saved
-        return value
-
     trace = model.forward_batch(users, items_t, items_s)
     grads = model.backward_batch(trace, labels_target=labels_t, labels_source=labels_s)
     analytic = flatten_params(grads, names)
+
+    # The probed model's tensors are views into one flat buffer, so a probe
+    # costs a copy into it rather than a fresh set of tensors.
+    buffer = theta0.copy()
+    model.params = unflatten_params(buffer, shapes, names)
+
+    def loss_at(theta):
+        buffer[:] = theta
+        return joint_loss_of(model, users, items_t, items_s, labels_t, labels_s)
+
     numeric = finite_difference_gradient(loss_at, theta0, 1e-6)
     scale = np.maximum(np.abs(analytic), np.abs(numeric))
     return float(np.max(np.abs(analytic - numeric) / (atol + rtol * scale)))

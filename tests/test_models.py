@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from conet.errors import ConfigError
+from conet.numerics import sigmoid
 from conet.models import (
+    ARCHITECTURES,
+    CSN_ALPHA_INIT,
     DomainSizes,
     Model,
     ModelConfig,
@@ -243,6 +246,21 @@ def mlp_view_of_tower(model, side):
     return Model(cfg, DomainSizes(TINY.num_users, items), params)
 
 
+class TestTraceProbabilities:
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_probs_are_sigmoid_of_each_towers_logits(self, arch):
+        model = scaled_model(arch, 4)
+        trace = model.forward_batch(np.array([0, 3, 6]), np.array([1, 4, -1]),
+                                    np.array([5, -1, 2]))
+        assert len(trace.probs) == len(trace.logits) == len(model.towers)
+        for probs, logits in zip(trace.probs, trace.logits):
+            assert probs.tobytes() == sigmoid(logits).tobytes()
+        # Derived on access: they follow the logits they are read from.
+        trace.logits = [-z for z in trace.logits]
+        for probs, logits in zip(trace.probs, trace.logits):
+            assert probs.tobytes() == sigmoid(logits).tobytes()
+
+
 class TestConetForward:
     def test_zero_transfer_equals_independent_towers_bitwise(self):
         model = scaled_model("conet", 5)
@@ -342,6 +360,15 @@ class TestCsnForward:
         # a_t = (2, 1), a_s = (4, 8): mixed_t = 0.9 a_t + 0.1 a_s, mixed_s = 0.9 a_s + 0.1 a_t
         assert np.allclose(trace.inputs[1][0][0], [2.2, 1.7], atol=1e-15)
         assert np.allclose(trace.inputs[1][1][0], [3.8, 7.3], atol=1e-15)
+
+    def test_every_alpha_starts_at_its_own_copy_of_the_initial_pair(self):
+        cfg = ModelConfig(architecture="csn", embedding_dim=4, hidden_widths=(8, 8, 8, 8))
+        model = build_model(cfg, TINY, 0)
+        alphas = [model.params[f"alpha_{k}"] for k in range(3)]
+        for alpha in alphas:
+            assert alpha.tolist() == list(CSN_ALPHA_INIT)
+        alphas[0][:] = 0.0
+        assert alphas[1].tolist() == list(CSN_ALPHA_INIT)
 
     def test_nonuniform_widths_rejected_before_training(self):
         cfg = ModelConfig(architecture="csn", embedding_dim=4, hidden_widths=(8, 4, 2))

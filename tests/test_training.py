@@ -304,6 +304,12 @@ class TestTrainer:
         steps = max(target_batches, source_batches)
         assert trainer.optimizer.step_count == 2 * steps
 
+    def test_optimizer_keeps_adams_default_moments(self, split):
+        config = TrainConfig(learning_rate=0.003, epochs=1, seed=0)
+        optimizer = Trainer(small_model(sizes=sizes_of(split)), split, config).optimizer
+        assert optimizer.learning_rate == 0.003
+        assert (optimizer.beta1, optimizer.beta2, optimizer.epsilon) == (0.9, 0.999, 1e-8)
+
     def test_mlp_step_count(self, split):
         model = small_model("mlp", lam=0.0, sizes=sizes_of(split))
         config = TrainConfig(epochs=1, batch_size=16, seed=0)
