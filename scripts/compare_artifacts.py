@@ -7,8 +7,10 @@ Usage, from anywhere inside a checkout::
 The script exports ``PARENT_REF`` with ``git archive`` into a temporary
 directory and generates the small data set of acceptance criterion 9
 with it. Then, in the exported tree and in this checkout's working tree,
-each with BLAS pinned to one thread, it runs ``conet train`` and
-``conet evaluate`` for each of the five architectures, one five-arm
+each with BLAS pinned to one thread, it runs ``conet train`` and two
+``conet evaluate`` runs for each of the five architectures (the default
+test partition, and the validation partition with uncut MRR and a top-5
+cutoff), one five-arm
 ``conet compare --workers 2``, ``conet lambda-sweep --lambdas 0,0.1,1``
 and ``conet reduce-study --levels 0,1,2``, all on that same data. Each
 of the artifacts below is compared byte for byte; ``config.txt`` and
@@ -36,6 +38,8 @@ GENERATE = ["--users", "24", "--items-target", "120", "--items-source", "120",
             "--latent-dim", "4", "--target-density", "0.05", "--source-density", "0.05",
             "--seed", "3"]
 TRAIN = ["--embedding-dim", "4", "--epochs", "3", "--batch-size", "32", "--seed", "11"]
+# Each trained model is evaluated with the defaults and with these options.
+EVALUATE_VALIDATION = ["--partition", "validation", "--mrr-uncut", "true", "--top-n", "5"]
 
 
 def widths(arch: str) -> list:
@@ -60,8 +64,10 @@ def run_tree(tree: Path, data: Path, out: Path) -> None:
         run = out / f"train-{arch}"
         conet(tree, "train", "--architecture", arch, *widths(arch), *TRAIN, *inputs,
               "--out", run)
-        conet(tree, "evaluate", "--checkpoint", run / "model.ckpt", "--split",
-              run / "split.json", *inputs, "--out", out / f"evaluate-{arch}")
+        for name, options in ((f"evaluate-{arch}", []),
+                              (f"evaluate-validation-{arch}", EVALUATE_VALIDATION)):
+            conet(tree, "evaluate", "--checkpoint", run / "model.ckpt", "--split",
+                  run / "split.json", *options, *inputs, "--out", out / name)
     conet(tree, "compare", "--archs", ",".join(ARCHS), "--workers", "2", *widths("compare"),
           *TRAIN, *inputs, "--out", out / "compare")
     conet(tree, "lambda-sweep", "--lambdas", "0,0.1,1", *widths("conet"), *TRAIN, *inputs,

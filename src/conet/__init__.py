@@ -22,7 +22,7 @@ from .data import (
 from .errors import ConetError, ConfigError, DataError, NumericError
 from .evaluation import MetricsReport, evaluate, paired_t_test
 from .models import DomainSizes, ModelConfig, build_model
-from .training import TrainConfig, Trainer, fit, make_scorer
+from .training import TrainConfig, Trainer, make_scorer
 
 __all__ = [
     "CrossDomainDataset",
@@ -46,7 +46,6 @@ __all__ = [
     "build_model",
     "TrainConfig",
     "Trainer",
-    "fit",
     "make_scorer",
 ]
 

@@ -262,7 +262,7 @@ def cmd_train(config: RunConfig) -> int:
 
     summary = {"architecture": config.architecture, "dataset": _dataset_name(config),
                "epochs_trained": len(stats)}
-    if stats and split.validation:
+    if stats and split.users.size:
         best = max(stats, key=lambda st: st.val_ndcg)
         summary.update({
             "best_epoch": best.epoch,

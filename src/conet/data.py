@@ -18,7 +18,7 @@ bits as with a per-example sampler.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator
 
@@ -61,44 +61,32 @@ class InteractionDataset:
     shared users.
     """
 
-    def __init__(self, num_users, num_items, adjacency, user_ids=None, item_ids=None):
-        rows = [np.asarray(items, dtype=np.int64).ravel() for items in adjacency]
-        if len(rows) != num_users:
-            raise DataError("adjacency length does not match num_users")
-        users = np.repeat(np.arange(len(rows), dtype=np.int64), [r.size for r in rows])
-        items = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        self._store(num_users, num_items, users, items, user_ids, item_ids)
-
     @classmethod
     def from_pairs(cls, num_users, num_items, users, items, user_ids=None, item_ids=None):
         """Dataset of the ``(users[k], items[k])`` interactions, in any order."""
-        dataset = cls.__new__(cls)
-        dataset._store(num_users, num_items, users, items, user_ids, item_ids)
-        return dataset
-
-    def _store(self, num_users, num_items, users, items, user_ids, item_ids):
-        # The one validating path: every dataset is built here.
         if num_users < 1 or num_items < 1:
             raise DataError("dataset needs at least one user and one item")
-        self.num_users = int(num_users)
-        self.num_items = int(num_items)
+        dataset = cls.__new__(cls)
+        dataset.num_users = int(num_users)
+        dataset.num_items = int(num_items)
         users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
         bad = np.flatnonzero((users < 0) | (users >= num_users)
                              | (items < 0) | (items >= num_items))
         if bad.size:
             u, i = users[bad[0]], items[bad[0]]
             raise DataError(f"interaction (user {u}, item {i}) is out of range")
-        keys = np.sort(self._keys_of(users, items))
+        keys = np.sort(users * dataset.num_items + items)
         repeated = np.flatnonzero(keys[1:] == keys[:-1])
         if repeated.size:
             raise DataError(f"user {keys[repeated[0]] // num_items} has duplicate interactions")
-        self.keys = keys
-        self.indices = keys % num_items
-        self.indptr = np.searchsorted(keys, np.arange(num_users + 1, dtype=np.int64) * num_items)
-        for arr in (self.keys, self.indices, self.indptr):
+        dataset.keys = keys
+        dataset.indices = keys % num_items
+        dataset.indptr = np.searchsorted(keys, np.arange(num_users + 1, dtype=np.int64) * num_items)
+        for arr in (dataset.keys, dataset.indices, dataset.indptr):
             arr.flags.writeable = False
-        self.user_ids = tuple(user_ids) if user_ids is not None else None
-        self.item_ids = tuple(item_ids) if item_ids is not None else None
+        dataset.user_ids = tuple(user_ids) if user_ids is not None else None
+        dataset.item_ids = tuple(item_ids) if item_ids is not None else None
+        return dataset
 
     @property
     def num_interactions(self) -> int:
@@ -160,20 +148,27 @@ class CrossDomainDataset:
         return self.target.num_users
 
 
-@dataclass
+@dataclass(eq=False)
 class LooSplit:
     """Leave-one-out split of the target domain with frozen eval negatives.
 
-    ``test`` and ``validation`` map evaluated users to their held-out
-    target items; ``eval_negatives`` maps each evaluated user to 99 target
-    items the user never interacted with. The source domain is never
-    split: all of it stays in ``train``.
+    The held-out data are read-only int64 arrays aligned row by row:
+    ``users`` (shape ``(U,)``) lists the evaluated users ascending,
+    ``test`` and ``validation`` (``(U,)``) hold each one's held-out target
+    items, and ``eval_negatives`` (``(U, 99)``) the 99 target items it
+    never interacted with. The source domain is never split: all of it
+    stays in ``train``.
     """
 
     train: CrossDomainDataset
-    test: dict
-    validation: dict
-    eval_negatives: dict
+    users: np.ndarray
+    test: np.ndarray
+    validation: np.ndarray
+    eval_negatives: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.users, self.test, self.validation, self.eval_negatives):
+            arr.flags.writeable = False
 
 
 @dataclass
@@ -307,21 +302,20 @@ def loo_split(data: CrossDomainDataset, rng: np.random.Generator) -> LooSplit:
     target history (train, validation and test).
     """
     target = data.target
-    test: dict = {}
-    validation: dict = {}
-    negatives: dict = {}
-    for u in np.flatnonzero(target.degrees >= MIN_EVAL_INTERACTIONS).tolist():
-        test[u], validation[u] = rng.choice(target.items_of(u), size=2, replace=False).tolist()
-        negatives[u] = sample_eval_negatives(target, u, rng)
-    return _held_out(data, test, validation, negatives)
+    users = np.flatnonzero(target.degrees >= MIN_EVAL_INTERACTIONS)
+    held = np.empty((users.size, 2), dtype=np.int64)
+    negatives = np.empty((users.size, NUM_EVAL_NEGATIVES), dtype=np.int64)
+    for row, u in enumerate(users.tolist()):
+        held[row] = rng.choice(target.items_of(u), size=2, replace=False)
+        negatives[row] = sample_eval_negatives(target, u, rng)
+    return _held_out(data, users, held, negatives)
 
 
-def _held_out(data: CrossDomainDataset, test: dict, validation: dict, negatives: dict) -> LooSplit:
-    # The split whose target train set lacks every held-out item.
-    users = list(test)
-    target = data.target.without(users * 2, list(test.values()) + [validation[u] for u in users])
-    return LooSplit(train=CrossDomainDataset(target=target, source=data.source),
-                    test=test, validation=validation, eval_negatives=negatives)
+def _held_out(data: CrossDomainDataset, users, held, negatives) -> LooSplit:
+    # The split whose target train set lacks each user's two ``held`` items.
+    target = data.target.without(users[:, None], held)
+    return LooSplit(train=CrossDomainDataset(target=target, source=data.source), users=users,
+                    test=held[:, 0], validation=held[:, 1], eval_negatives=negatives)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +512,8 @@ def reduce_training(split: LooSplit, per_user_removal: int, rng: np.random.Gener
     """Drop up to ``per_user_removal`` train target interactions per user.
 
     Removal is uniform without replacement per user and never drops a user
-    below one remaining train interaction. Test, validation and the frozen
-    negatives are untouched.
+    below one remaining train interaction. The reduced split shares the
+    input's read-only held-out arrays.
     """
     if per_user_removal < 0:
         raise ConfigError("per_user_removal must be >= 0")
@@ -536,13 +530,8 @@ def reduce_training(split: LooSplit, per_user_removal: int, rng: np.random.Gener
         users += [u] * drop.size
         items += drop.tolist()
     train = CrossDomainDataset(target=target.without(users, items), source=split.train.source)
-    new_split = LooSplit(
-        train=train,
-        test=dict(split.test),
-        validation=dict(split.validation),
-        eval_negatives={u: v.copy() for u, v in split.eval_negatives.items()},
-    )
-    return ReductionResult(split=new_split, removed=len(items), total_before=total_before)
+    return ReductionResult(split=replace(split, train=train), removed=len(items),
+                           total_before=total_before)
 
 
 # ---------------------------------------------------------------------------
@@ -558,24 +547,19 @@ def _json_block(open_, close, entries, depth) -> str:
     return open_ + pad + ("," + pad).join(entries) + "\n" + " " * depth + close
 
 
-def _int_texts(values) -> list:
-    return list(map(str, np.asarray(values, dtype=np.int64).tolist()))
-
-
 def save_split_manifest(split: LooSplit, path) -> None:
     """Write the held-out items and frozen negatives as JSON.
 
     The text is byte for byte what ``json.dump(manifest, fh, indent=1)``
     writes, plus a final newline, built without the per-element encoder.
     """
-    def held_out(held):
-        users = sorted(held)
-        return _json_block("{", "}", [f'"{u}": {i}' for u, i in
-                                      zip(users, _int_texts([held[u] for u in users]))], 1)
+    users = split.users.tolist()
 
-    negatives = split.eval_negatives
-    blocks = [f'"{u}": ' + _json_block("[", "]", _int_texts(negatives[u]), 2)
-              for u in sorted(negatives)]
+    def held_out(items):
+        return _json_block("{", "}", [f'"{u}": {i}' for u, i in zip(users, items.tolist())], 1)
+
+    blocks = [f'"{u}": ' + _json_block("[", "]", list(map(str, row)), 2)
+              for u, row in zip(users, split.eval_negatives.tolist())]
     text = _json_block("{", "}", [
         f'"num_users": {int(split.train.num_users)}',
         f'"num_items_target": {int(split.train.target.num_items)}',
@@ -658,6 +642,4 @@ def load_split_manifest(data: CrossDomainDataset, path) -> LooSplit:
                  "has a negative it interacted with")
     _reject_rows(~data.target.contains(users[:, None], held), users,
                  "holds out an item it never interacted with")
-    evaluated = users.tolist()
-    return _held_out(data, dict(zip(evaluated, held[:, 0].tolist())),
-                     dict(zip(evaluated, held[:, 1].tolist())), dict(zip(evaluated, neg)))
+    return _held_out(data, users, held, neg)

@@ -6,7 +6,7 @@ candidates, with ties counted against the held-out item (pessimistic and
 deterministic). HR, NDCG and MRR are averaged per-user contributions with
 the ranked list cut off at ``top_n`` (10 by default). Per-user arithmetic
 uses plain Python floats in user-index order so the aggregates are
-bit-reproducible and exactly recomputable from the per-user records.
+bit-reproducible and exactly recomputable from the hit positions.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from typing import Protocol
 
 import numpy as np
 
-from .data import NUM_EVAL_NEGATIVES, LooSplit
+from .data import LooSplit
 from .errors import ConfigError, DataError, NumericError
 
 __all__ = [
-    "RankingResult",
     "MetricsReport",
     "Scorer",
     "hit_ratio",
@@ -40,20 +39,25 @@ class Scorer(Protocol):
         """Scores ``(U, C)`` of each user's row of ``(U, C)`` candidate items."""
 
 
-@dataclass(frozen=True)
-class RankingResult:
-    user: int
-    position: int  # 1-based rank among the 100 scored candidates
-
-
 @dataclass
 class MetricsReport:
+    """Ranking metrics of one partition with every evaluated user's hit position.
+
+    ``users`` lists the evaluated users ascending and ``positions`` their
+    1-based hit positions among the 100 candidates, aligned, both as
+    Python ints; the aggregates are recomputable from ``positions``.
+    """
+
     hr: float
     ndcg: float
     mrr: float
-    per_user: list
+    users: list
+    positions: list
     top_n: int
-    num_evaluated_users: int
+
+    @property
+    def num_evaluated_users(self) -> int:
+        return len(self.positions)
 
     def to_jsonable(self, model: str = "", dataset: str = "") -> dict:
         return {
@@ -64,56 +68,48 @@ class MetricsReport:
             "ndcg": self.ndcg,
             "mrr": self.mrr,
             "num_users": self.num_evaluated_users,
-            "per_user": [[r.user, r.position] for r in self.per_user],
+            "per_user": [[u, p] for u, p in zip(self.users, self.positions)],
         }
 
 
-def _check_nonempty(results):
-    if not results:
+def _mean(contributions: list) -> float:
+    # Added one by one in user order: ``sum()`` of floats changed its
+    # algorithm in Python 3.12, and the aggregates must keep their bits.
+    if not contributions:
         raise DataError("ranking metrics need at least one evaluated user")
+    total = 0.0
+    for c in contributions:
+        total += c
+    return total / len(contributions)
 
 
-def hit_ratio(results, top_n: int = DEFAULT_TOP_N) -> float:
+def _ndcg_terms(positions, top_n: int) -> list:
+    return [math.log(2.0) / math.log(p + 1.0) if p <= top_n else 0.0 for p in positions]
+
+
+def hit_ratio(positions, top_n: int = DEFAULT_TOP_N) -> float:
     """Fraction of users whose hit position is within the cutoff."""
-    _check_nonempty(results)
-    total = 0.0
-    for r in results:
-        total += 1.0 if r.position <= top_n else 0.0
-    return total / len(results)
+    return _mean([1.0 if p <= top_n else 0.0 for p in positions])
 
 
-def ndcg(results, top_n: int = DEFAULT_TOP_N) -> float:
+def ndcg(positions, top_n: int = DEFAULT_TOP_N) -> float:
     """Mean of log 2 / log(position + 1) over users inside the cutoff."""
-    _check_nonempty(results)
-    total = 0.0
-    for r in results:
-        if r.position <= top_n:
-            total += math.log(2.0) / math.log(r.position + 1.0)
-    return total / len(results)
+    return _mean(_ndcg_terms(positions, top_n))
 
 
-def mrr(results, top_n: int = DEFAULT_TOP_N, apply_cutoff: bool = True) -> float:
+def mrr(positions, top_n: int = DEFAULT_TOP_N, apply_cutoff: bool = True) -> float:
     """Mean reciprocal hit position.
 
     By default the top-N cutoff zeroes contributions beyond ``top_n``,
     matching the other two metrics; ``apply_cutoff=False`` gives the
     uncut reading.
     """
-    _check_nonempty(results)
-    total = 0.0
-    for r in results:
-        if not apply_cutoff or r.position <= top_n:
-            total += 1.0 / r.position
-    return total / len(results)
+    return _mean([1.0 / p if not apply_cutoff or p <= top_n else 0.0 for p in positions])
 
 
-def ndcg_contributions(results, top_n: int = DEFAULT_TOP_N) -> np.ndarray:
+def ndcg_contributions(positions, top_n: int = DEFAULT_TOP_N) -> np.ndarray:
     """Per-user NDCG contributions in the order given (for paired tests)."""
-    return np.asarray(
-        [math.log(2.0) / math.log(r.position + 1.0) if r.position <= top_n else 0.0
-         for r in results],
-        dtype=np.float64,
-    )
+    return np.asarray(_ndcg_terms(positions, top_n), dtype=np.float64)
 
 
 def evaluate(scorer: Scorer, split: LooSplit, partition: str = "test",
@@ -127,23 +123,22 @@ def evaluate(scorer: Scorer, split: LooSplit, partition: str = "test",
     """
     if top_n < 1:
         raise ConfigError(f"top_n must be >= 1, got {top_n}")
-    if partition == "test":
-        held = split.test
-    elif partition == "validation":
-        held = split.validation
-    else:
+    if partition not in ("test", "validation"):
         raise ConfigError(f"unknown partition {partition!r}")
-    if not held:
+    users = split.users
+    if not users.size:
         raise DataError("split has no evaluated users")
-    order = sorted(held)
-    users = np.asarray(order, dtype=np.int64)
-    candidates = np.empty((users.size, 1 + NUM_EVAL_NEGATIVES), dtype=np.int64)
-    candidates[:, 0] = [held[u] for u in order]
-    candidates[:, 1:] = [split.eval_negatives[u] for u in order]
+    candidates = np.column_stack([getattr(split, partition), split.eval_negatives])
     try:
         scores = np.asarray(scorer.score_items(users, candidates), dtype=np.float64)
     except Exception as exc:
-        raise type(exc)(f"scorer failed for the {users.size} {partition} users: {exc}") from exc
+        try:
+            wrapped = type(exc)(f"scorer failed for the {users.size} {partition} users: {exc}")
+        except Exception:
+            wrapped = None  # a type that takes more than a message goes on as raised
+        if wrapped is None:
+            raise
+        raise wrapped from exc
     if scores.shape != candidates.shape:
         raise DataError(f"scorer returned scores of shape {scores.shape} "
                         f"for candidates of shape {candidates.shape}")
@@ -151,16 +146,10 @@ def evaluate(scorer: Scorer, split: LooSplit, partition: str = "test",
         bad = users[~np.isfinite(scores).all(axis=1)]
         raise NumericError(f"scores must be finite; user {int(bad[0])} has a non-finite score")
     # Ties count against the held-out item, so a constant scorer ranks it last.
-    positions = 1 + np.count_nonzero(scores[:, 1:] >= scores[:, :1], axis=1)
-    results = [RankingResult(user=u, position=p) for u, p in zip(order, positions.tolist())]
-    return MetricsReport(
-        hr=hit_ratio(results, top_n),
-        ndcg=ndcg(results, top_n),
-        mrr=mrr(results, top_n, apply_cutoff=not mrr_uncut),
-        per_user=results,
-        top_n=top_n,
-        num_evaluated_users=len(results),
-    )
+    positions = (1 + np.count_nonzero(scores[:, 1:] >= scores[:, :1], axis=1)).tolist()
+    return MetricsReport(hr=hit_ratio(positions, top_n), ndcg=ndcg(positions, top_n),
+                         mrr=mrr(positions, top_n, apply_cutoff=not mrr_uncut),
+                         users=users.tolist(), positions=positions, top_n=top_n)
 
 
 def paired_t_test(per_user_a, per_user_b) -> float:

@@ -130,8 +130,8 @@ def _run_arms(arms, baseline: int, train_config: TrainConfig, workers: int) -> l
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, arms))
-    base_vector = ndcg_contributions(results[baseline][0].per_user)
-    return [(*result, paired_t_test(ndcg_contributions(result[0].per_user), base_vector))
+    base_vector = ndcg_contributions(results[baseline][0].positions)
+    return [(*result, paired_t_test(ndcg_contributions(result[0].positions), base_vector))
             for result in results]
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "Trainer",
     "ModelScorer",
     "make_scorer",
-    "fit",
     "cross_entropy_from_logits",
     "proximal_l1",
     "sparsity_ratio",
@@ -334,9 +333,9 @@ class Trainer:
         )
 
     def _validation_metrics(self):
-        if not self.split.validation:
+        if not self.split.users.size:
             return evaluation.MetricsReport(hr=math.nan, ndcg=math.nan, mrr=math.nan,
-                                            per_user=[], top_n=10, num_evaluated_users=0)
+                                            users=[], positions=[], top_n=10)
         scorer = make_scorer(self.model, self.split)
         return evaluation.evaluate(scorer, self.split, partition="validation")
 
@@ -368,10 +367,3 @@ class Trainer:
         for k in self.model.params:
             self.model.params[k] = best[k]
         return stats
-
-
-def fit(model, split: LooSplit, config: TrainConfig):
-    """Train ``model`` on ``split``; returns ``(model, stats)``."""
-    trainer = Trainer(model, split, config)
-    stats = trainer.fit()
-    return model, stats

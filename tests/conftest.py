@@ -12,7 +12,7 @@ import pytest
 
 from conet.data import CrossDomainDataset, InteractionDataset, loo_split
 from conet.errors import NumericError
-from conet.evaluation import MetricsReport, RankingResult, hit_ratio, mrr, ndcg
+from conet.evaluation import MetricsReport, hit_ratio, mrr, ndcg
 from conet.models import DomainSizes, Model, ModelConfig, build_model
 from conet.numerics import derive_rng, sigmoid
 from conet.training import cross_entropy_from_logits
@@ -82,6 +82,19 @@ def cross_entropy_loss(predictions, labels):
     return float(-np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
+def from_adjacency(num_users, num_items, adjacency, user_ids=None, item_ids=None):
+    """Dataset in which user ``u`` holds the items ``adjacency[u]``."""
+    rows = [np.asarray(items, dtype=np.int64).ravel() for items in adjacency]
+    users = np.repeat(np.arange(len(rows)), [row.size for row in rows])
+    items = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+    return InteractionDataset.from_pairs(num_users, num_items, users, items, user_ids, item_ids)
+
+
+def held_by_user(split, partition="test"):
+    """``{user: held-out item}`` of one partition of a split."""
+    return dict(zip(split.users.tolist(), getattr(split, partition).tolist()))
+
+
 def has(dataset, user, item):
     """True when ``user`` interacted with ``item`` in ``dataset``."""
     return item in dataset.items_of(user)
@@ -142,10 +155,10 @@ def reference_manifest_text(split):
         "num_users": split.train.num_users,
         "num_items_target": split.train.target.num_items,
         "num_items_source": split.train.source.num_items,
-        "test": {str(u): int(i) for u, i in sorted(split.test.items())},
-        "validation": {str(u): int(i) for u, i in sorted(split.validation.items())},
-        "eval_negatives": {str(u): [int(i) for i in split.eval_negatives[u]]
-                           for u in sorted(split.eval_negatives)},
+        "test": {str(u): i for u, i in sorted(held_by_user(split, "test").items())},
+        "validation": {str(u): i for u, i in sorted(held_by_user(split, "validation").items())},
+        "eval_negatives": {str(u): [int(i) for i in negatives] for u, negatives in
+                           sorted(zip(split.users.tolist(), split.eval_negatives.tolist()))},
     }
     return json.dumps(manifest, indent=1) + "\n"
 
@@ -193,17 +206,18 @@ def reference_evaluate(score_user, split, partition="test", top_n=10):
     Users go in index order, each with its held-out item first and its 99
     frozen negatives after. Returns the ``(U, 100)`` scores and the report.
     """
-    held = split.test if partition == "test" else split.validation
-    rows, results = [], []
-    for user in sorted(held):
-        candidates = np.concatenate([[held[user]], split.eval_negatives[user]])
+    held = held_by_user(split, partition)
+    negatives = dict(zip(split.users.tolist(), split.eval_negatives))
+    users = sorted(held)
+    rows, positions = [], []
+    for user in users:
+        candidates = np.concatenate([[held[user]], negatives[user]])
         scores = np.asarray(score_user(user, candidates), dtype=np.float64)
         rows.append(scores)
-        results.append(RankingResult(user=user,
-                                     position=rank_test_item(float(scores[0]), scores[1:])))
-    report = MetricsReport(hr=hit_ratio(results, top_n), ndcg=ndcg(results, top_n),
-                           mrr=mrr(results, top_n), per_user=results, top_n=top_n,
-                           num_evaluated_users=len(results))
+        positions.append(rank_test_item(float(scores[0]), scores[1:]))
+    report = MetricsReport(hr=hit_ratio(positions, top_n), ndcg=ndcg(positions, top_n),
+                           mrr=mrr(positions, top_n), users=users, positions=positions,
+                           top_n=top_n)
     return np.stack(rows), report
 
 
@@ -370,10 +384,10 @@ def make_cross_domain(num_users=12, per_user_target=6, per_user_source=5,
     def ids(prefix, n):
         return [f"{prefix}{k}" for k in range(n)]
     return CrossDomainDataset(
-        target=InteractionDataset(num_users, n_target, t_adj,
-                                  user_ids=ids("u", num_users), item_ids=ids("t", n_target)),
-        source=InteractionDataset(num_users, n_source, s_adj,
-                                  user_ids=ids("u", num_users), item_ids=ids("s", n_source)),
+        target=from_adjacency(num_users, n_target, t_adj,
+                              user_ids=ids("u", num_users), item_ids=ids("t", n_target)),
+        source=from_adjacency(num_users, n_source, s_adj,
+                              user_ids=ids("u", num_users), item_ids=ids("s", n_source)),
     )
 
 

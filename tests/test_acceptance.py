@@ -24,7 +24,6 @@ from conet.checkpoint import load_checkpoint, save_checkpoint
 from conet.cli import main
 from conet.data import (
     CrossDomainDataset,
-    InteractionDataset,
     SyntheticConfig,
     align_domains,
     generate_synthetic,
@@ -38,7 +37,7 @@ from conet.numerics import derive_rng
 from conet.studies import model_config_for, reduce_study
 from conet.training import TrainConfig, Trainer, make_scorer, sparsity_ratio
 
-from conftest import gradient_check
+from conftest import from_adjacency, gradient_check
 
 
 def record(num, name, ok, detail=""):
@@ -105,8 +104,8 @@ def _equal_volume_split():
     num_users, n_t, n_s = 30, 150, 140
     t_adj = [sorted(rng.choice(n_t, 10, replace=False)) for _ in range(num_users)]
     s_adj = [sorted(rng.choice(n_s, 8, replace=False)) for _ in range(num_users)]
-    data = CrossDomainDataset(target=InteractionDataset(num_users, n_t, t_adj),
-                              source=InteractionDataset(num_users, n_s, s_adj))
+    data = CrossDomainDataset(target=from_adjacency(num_users, n_t, t_adj),
+                              source=from_adjacency(num_users, n_s, s_adj))
     return loo_split(data, derive_rng(7, "split")), DomainSizes(num_users, n_t, n_s)
 
 
@@ -118,10 +117,8 @@ def test_criterion_02_decoupling_oracle():
     tc = TrainConfig(epochs=4, batch_size=32, seed=seed, patience=None)
 
     def predictions(model):
-        users = np.asarray(sorted(split.test))
-        candidates = np.stack([np.concatenate([[split.test[u]], split.eval_negatives[u]])
-                               for u in users.tolist()])
-        return make_scorer(model, split).score_items(users, candidates).ravel()
+        candidates = np.column_stack([split.test, split.eval_negatives])
+        return make_scorer(model, split).score_items(split.users, candidates).ravel()
 
     conet = build_model(ModelConfig(architecture="conet", embedding_dim=4,
                                     hidden_widths=(8, 4, 2), lasso_lambda=0.1),
@@ -172,7 +169,7 @@ def test_criterion_03_metric_oracle(small_split):
 
     report = evaluate(Scorer(), split)
     hr_sum = ndcg_sum = mrr_sum = 0.0
-    for u in sorted(split.test):
+    for u in split.users.tolist():
         vec = data_scores[u]
         position = 1
         for s in vec[1:100]:
@@ -373,9 +370,9 @@ def _cap_users(data, max_users):
                     item_ids.append(ds.item_ids[i] if ds.item_ids else str(i))
                 row.append(item_map[i])
             adjacency.append(row)
-        return InteractionDataset(max_users, len(item_ids), adjacency,
-                                  user_ids=ds.user_ids[:max_users] if ds.user_ids else None,
-                                  item_ids=item_ids)
+        return from_adjacency(max_users, len(item_ids), adjacency,
+                              user_ids=ds.user_ids[:max_users] if ds.user_ids else None,
+                              item_ids=item_ids)
 
     return CrossDomainDataset(target=subset(data.target), source=subset(data.source))
 

@@ -6,7 +6,6 @@ import pytest
 from conet.data import (
     CrossDomainDataset,
     InteractionDataset,
-    LooSplit,
     SyntheticConfig,
     align_domains,
     epoch_batches,
@@ -22,18 +21,25 @@ from conet.data import (
 from conet.errors import ConfigError, DataError
 from conet.numerics import derive_rng
 
-from conftest import (has, reference_batches, reference_loo_draws, reference_manifest_text,
-                      same_interactions)
+from conftest import (from_adjacency, has, held_by_user, reference_batches, reference_loo_draws,
+                      reference_manifest_text, same_interactions)
+
+HELD_OUT = ("users", "test", "validation", "eval_negatives")
 
 
 def make_dataset(adjacency, num_items, ids=True):
-    return InteractionDataset(
-        num_users=len(adjacency),
-        num_items=num_items,
-        adjacency=adjacency,
+    return from_adjacency(
+        len(adjacency),
+        num_items,
+        adjacency,
         user_ids=[f"u{k}" for k in range(len(adjacency))] if ids else None,
         item_ids=[f"i{k}" for k in range(num_items)] if ids else None,
     )
+
+
+def same_held_out(a, b):
+    """True when two splits hold out the same items and negatives for the same users."""
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in HELD_OUT)
 
 
 class TestInteractionDataset:
@@ -132,7 +138,7 @@ class TestLoadInteractions:
 class TestAlignDomains:
     def test_disjoint_users_error(self):
         t = make_dataset([[0], [1]], 2)
-        s = InteractionDataset(2, 2, [[0], [1]], user_ids=["x", "y"], item_ids=["a", "b"])
+        s = from_adjacency(2, 2, [[0], [1]], user_ids=["x", "y"], item_ids=["a", "b"])
         with pytest.raises(DataError):
             align_domains(t, s)
 
@@ -143,10 +149,10 @@ class TestAlignDomains:
         assert data.num_users == 2
 
     def test_intersection_by_hand(self):
-        t = InteractionDataset(3, 2, [[0], [1], [0, 1]], user_ids=["a", "b", "c"],
-                               item_ids=["i", "j"])
-        s = InteractionDataset(3, 2, [[0], [1], [0]], user_ids=["b", "c", "d"],
-                               item_ids=["k", "l"])
+        t = from_adjacency(3, 2, [[0], [1], [0, 1]], user_ids=["a", "b", "c"],
+                           item_ids=["i", "j"])
+        s = from_adjacency(3, 2, [[0], [1], [0]], user_ids=["b", "c", "d"],
+                           item_ids=["k", "l"])
         data = align_domains(t, s)
         assert data.num_users == 2
         assert data.target.user_ids == ("b", "c")
@@ -171,11 +177,23 @@ class TestLooSplit:
     def test_holds_out_two_per_eval_user(self):
         data = small_cross_domain()
         split = loo_split(data, derive_rng(0, "split"))
-        for u in sorted(split.test):
+        for u, test, validation in zip(split.users.tolist(), split.test.tolist(),
+                                       split.validation.tolist()):
             assert split.train.target.items_of(u).size == 4
-            assert not has(split.train.target, u, split.test[u])
-            assert not has(split.train.target, u, split.validation[u])
-            assert split.test[u] != split.validation[u]
+            assert not has(split.train.target, u, test)
+            assert not has(split.train.target, u, validation)
+            assert test != validation
+
+    def test_held_out_arrays_are_read_only(self):
+        split = loo_split(small_cross_domain(), derive_rng(0, "split"))
+        u = split.users.size
+        assert u == 12
+        for name, shape in zip(HELD_OUT, ((u,), (u,), (u,), (u, 99))):
+            arr = getattr(split, name)
+            assert arr.shape == shape and arr.dtype == np.int64
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
     def test_cold_users_keep_everything_and_skip_eval(self):
         data = CrossDomainDataset(
@@ -183,22 +201,22 @@ class TestLooSplit:
             source=make_dataset([[0], [1]], 80),
         )
         split = loo_split(data, derive_rng(0, "split"))
-        assert 0 not in split.test
+        assert 0 not in split.users
         assert split.train.target.items_of(0).size == 2
-        assert 1 in split.test
+        assert 1 in split.users
 
     def test_deterministic(self):
         data = small_cross_domain()
         a = loo_split(data, derive_rng(9, "split"))
         b = loo_split(data, derive_rng(9, "split"))
-        assert a.test == b.test and a.validation == b.validation
-        assert all(np.array_equal(a.eval_negatives[u], b.eval_negatives[u]) for u in a.test)
+        assert same_held_out(a, b)
 
     def test_partition_union_is_original(self):
         data = small_cross_domain()
         split = loo_split(data, derive_rng(4, "split"))
-        for u in sorted(split.test):
-            rebuilt = set(split.train.target.items_of(u)) | {split.test[u], split.validation[u]}
+        for u, test, validation in zip(split.users.tolist(), split.test.tolist(),
+                                       split.validation.tolist()):
+            rebuilt = set(split.train.target.items_of(u)) | {test, validation}
             assert rebuilt == set(data.target.items_of(u))
             assert len(rebuilt) == data.target.items_of(u).size
 
@@ -210,8 +228,7 @@ class TestLooSplit:
     def test_negatives_exclude_all_interactions(self):
         data = small_cross_domain()
         split = loo_split(data, derive_rng(4, "split"))
-        for u in sorted(split.test):
-            negs = split.eval_negatives[u]
+        for u, negs in zip(split.users.tolist(), split.eval_negatives):
             assert negs.size == 99
             assert np.unique(negs).size == 99
             for j in negs:
@@ -386,10 +403,14 @@ class TestReduceTraining:
         assert result.removed == 20
         assert result.total_before == before
         assert result.split.train.target.num_interactions == before - 20
-        assert result.split.test == split.test
-        assert result.split.validation == split.validation
-        assert all(np.array_equal(result.split.eval_negatives[u], split.eval_negatives[u])
-                   for u in split.test)
+        assert same_held_out(result.split, split)
+
+    def test_shares_held_out_arrays(self):
+        split = loo_split(small_cross_domain(num_users=20), derive_rng(1, "split"))
+        result = reduce_training(split, 1, derive_rng(1, "r"))
+        assert result.removed > 0
+        for name in HELD_OUT:
+            assert getattr(result.split, name) is getattr(split, name)
 
     def test_deterministic(self):
         split = loo_split(small_cross_domain(), derive_rng(2, "split"))
@@ -405,10 +426,7 @@ class TestSplitManifest:
         path = tmp_path / "split.json"
         save_split_manifest(split, path)
         again = load_split_manifest(data, path)
-        assert again.test == split.test
-        assert again.validation == split.validation
-        assert all(np.array_equal(again.eval_negatives[u], split.eval_negatives[u])
-                   for u in split.test)
+        assert same_held_out(again, split)
         assert same_interactions(again.train.target, split.train.target)
 
     def test_rejects_wrong_dataset(self, tmp_path):
@@ -478,11 +496,12 @@ class TestSplitAgainstReferences:
     def test_draws_and_manifest_bytes(self, tmp_path, name, data, seed):
         split = loo_split(data, derive_rng(seed, "split"))
         test, validation, negatives = reference_loo_draws(data, derive_rng(seed, "split"))
-        assert split.test == test and split.validation == validation
-        assert split.eval_negatives.keys() == negatives.keys()
-        for u, negs in negatives.items():
-            assert split.eval_negatives[u].dtype == np.int64
-            assert np.array_equal(split.eval_negatives[u], negs)
+        assert held_by_user(split, "test") == test
+        assert held_by_user(split, "validation") == validation
+        assert split.users.tolist() == list(negatives)
+        assert split.eval_negatives.dtype == np.int64
+        for row, negs in zip(split.eval_negatives, negatives.values()):
+            assert np.array_equal(row, negs)
         path = tmp_path / "split.json"
         save_split_manifest(split, path)
         assert path.read_bytes() == reference_manifest_text(split).encode("utf-8")
@@ -491,22 +510,9 @@ class TestSplitAgainstReferences:
         data = CrossDomainDataset(target=make_dataset([[0, 1], [2]], 120),
                                   source=make_dataset([[0], [1]], 5))
         split = loo_split(data, derive_rng(0, "split"))
-        assert split.test == {} and split.eval_negatives == {}
+        assert split.users.size == 0 and split.eval_negatives.shape == (0, 99)
         path = tmp_path / "split.json"
         save_split_manifest(split, path)
         text = path.read_text(encoding="utf-8")
         assert text == reference_manifest_text(split)
         assert '"test": {}' in text and '"eval_negatives": {}' in text
-
-    def test_negatives_as_lists(self, tmp_path):
-        split = loo_split(small_cross_domain(), derive_rng(3, "split"))
-        paths = []
-        for tag, convert in (("array", np.asarray), ("ints", lambda v: v.tolist()),
-                             ("numpy_ints", list)):
-            as_given = LooSplit(train=split.train, test=split.test, validation=split.validation,
-                                eval_negatives={u: convert(v)
-                                                for u, v in split.eval_negatives.items()})
-            paths.append(tmp_path / f"{tag}.json")
-            save_split_manifest(as_given, paths[-1])
-        expected = reference_manifest_text(split).encode("utf-8")
-        assert all(path.read_bytes() == expected for path in paths)

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conet.data import (CrossDomainDataset, InteractionDataset, LooSplit, SyntheticConfig,
-                        generate_synthetic, loo_split)
+from conet.data import CrossDomainDataset, LooSplit, SyntheticConfig, generate_synthetic, loo_split
 from conet.errors import DataError, NumericError
 from conet.evaluation import (
     MetricsReport,
-    RankingResult,
     evaluate,
     hit_ratio,
     mrr,
@@ -22,11 +20,8 @@ from conet.numerics import derive_rng
 from conet.studies import model_config_for
 from conet.training import make_scorer
 
-from conftest import make_cross_domain, per_user_scorer, rank_test_item, reference_evaluate
-
-
-def results_from(positions):
-    return [RankingResult(user=u, position=p) for u, p in enumerate(positions)]
+from conftest import (from_adjacency, held_by_user, make_cross_domain, per_user_scorer,
+                      rank_test_item, reference_evaluate)
 
 
 class _FixedScorer:
@@ -39,10 +34,10 @@ class _FixedScorer:
 
 def live_position(test_score, negative_scores):
     """Hit position ``evaluate`` ranks for one user scoring its candidates so."""
-    split = LooSplit(train=None, test={0: 0}, validation={},
-                     eval_negatives={0: np.arange(1, 100)})
+    split = LooSplit(train=None, users=np.array([0]), test=np.array([0]), validation=np.array([1]),
+                     eval_negatives=np.arange(1, 100)[None, :])
     scores = np.concatenate([[test_score], negative_scores])[None, :]
-    return evaluate(_FixedScorer(scores), split).per_user[0].position
+    return evaluate(_FixedScorer(scores), split).positions[0]
 
 
 class TestRankTestItem:
@@ -80,34 +75,34 @@ class TestRankTestItem:
 
 class TestAggregates:
     def test_hr_all_first(self):
-        assert hit_ratio(results_from([1, 1, 1])) == 1.0
+        assert hit_ratio([1, 1, 1]) == 1.0
 
     def test_hr_all_outside(self):
-        assert hit_ratio(results_from([11, 11])) == 0.0
+        assert hit_ratio([11, 11]) == 0.0
 
     def test_hr_hand_count(self):
-        assert hit_ratio(results_from([1, 5, 11, 50])) == 0.5
+        assert hit_ratio([1, 5, 11, 50]) == 0.5
 
     def test_ndcg_first_position(self):
-        assert ndcg(results_from([1])) == 1.0
+        assert ndcg([1]) == 1.0
 
     def test_ndcg_position_three(self):
-        assert ndcg(results_from([3])) == pytest.approx(0.5, abs=1e-15)
+        assert ndcg([3]) == pytest.approx(0.5, abs=1e-15)
 
     def test_ndcg_mean(self):
-        assert ndcg(results_from([1, 3])) == pytest.approx(0.75, abs=1e-15)
+        assert ndcg([1, 3]) == pytest.approx(0.75, abs=1e-15)
 
     def test_mrr_first(self):
-        assert mrr(results_from([1])) == 1.0
+        assert mrr([1]) == 1.0
 
     def test_mrr_position_four(self):
-        assert mrr(results_from([4])) == 0.25
+        assert mrr([4]) == 0.25
 
     def test_mrr_cutoff(self):
-        assert mrr(results_from([2, 20])) == 0.25
+        assert mrr([2, 20]) == 0.25
 
     def test_mrr_uncut_flag(self):
-        assert mrr(results_from([2, 20]), apply_cutoff=False) == pytest.approx(
+        assert mrr([2, 20], apply_cutoff=False) == pytest.approx(
             (0.5 + 1 / 20) / 2)
 
     def test_empty_results_error(self):
@@ -120,20 +115,19 @@ class TestAggregates:
 
     @given(st.lists(st.integers(min_value=1, max_value=100), min_size=1, max_size=50))
     def test_metric_bounds_and_ordering(self, positions):
-        results = results_from(positions)
-        h, n, m = hit_ratio(results), ndcg(results), mrr(results)
+        h, n, m = hit_ratio(positions), ndcg(positions), mrr(positions)
         assert 0.0 <= m <= n <= h <= 1.0
 
     def test_adding_perfect_user_never_decreases(self):
-        base = results_from([3, 15, 7])
-        more = base + [RankingResult(user=99, position=1)]
+        base = [3, 15, 7]
+        more = base + [1]
         assert hit_ratio(more) >= hit_ratio(base)
         assert ndcg(more) >= ndcg(base)
         assert mrr(more) >= mrr(base)
 
     def test_adding_worst_user_never_increases(self):
-        base = results_from([3, 15, 7])
-        more = base + [RankingResult(user=99, position=100)]
+        base = [3, 15, 7]
+        more = base + [100]
         assert hit_ratio(more) <= hit_ratio(base)
         assert ndcg(more) <= ndcg(base)
         assert mrr(more) <= mrr(base)
@@ -166,22 +160,22 @@ class _OracleScorer:
 class TestEvaluate:
     def test_constant_scorer_scores_zero_everywhere(self, small_split):
         report = evaluate(_ConstantScorer(), small_split)
-        assert all(r.position == 100 for r in report.per_user)
+        assert report.positions == [100] * small_split.users.size
         assert report.hr == report.ndcg == report.mrr == 0.0
 
     def test_oracle_scorer_is_perfect(self, small_split):
-        report = evaluate(_OracleScorer(small_split.test), small_split)
+        report = evaluate(_OracleScorer(held_by_user(small_split, "test")), small_split)
         assert report.hr == report.ndcg == report.mrr == 1.0
 
     def test_validation_partition_uses_validation_items(self, small_split):
-        report = evaluate(_OracleScorer(small_split.validation), small_split,
+        report = evaluate(_OracleScorer(held_by_user(small_split, "validation")), small_split,
                           partition="validation")
         assert report.hr == 1.0
 
     def test_deterministic(self, small_split):
         rng = np.random.default_rng(0)
         table = {u: rng.normal(size=small_split.train.target.num_items)
-                 for u in small_split.test}
+                 for u in small_split.users.tolist()}
         a = evaluate(_TableScorer(table), small_split)
         b = evaluate(_TableScorer(table), small_split)
         assert a == b
@@ -189,11 +183,11 @@ class TestEvaluate:
     def test_aggregates_recomputable_from_per_user(self, small_split):
         rng = np.random.default_rng(1)
         table = {u: rng.normal(size=small_split.train.target.num_items)
-                 for u in small_split.test}
+                 for u in small_split.users.tolist()}
         report = evaluate(_TableScorer(table), small_split)
-        assert hit_ratio(report.per_user, report.top_n) == report.hr
-        assert ndcg(report.per_user, report.top_n) == report.ndcg
-        assert mrr(report.per_user, report.top_n) == report.mrr
+        assert hit_ratio(report.positions, report.top_n) == report.hr
+        assert ndcg(report.positions, report.top_n) == report.ndcg
+        assert mrr(report.positions, report.top_n) == report.mrr
 
     def test_matches_brute_force_reimplementation_bitwise(self):
         # Independent oracle: recount ranks by explicit comparison loops and
@@ -209,13 +203,13 @@ class TestEvaluate:
         data = make_cross_domain(num_users=num_users, per_user_target=6,
                                  per_user_source=4, n_target=150, n_source=120, seed=7)
         split = loo_split(data, derive_rng(7, "split"))
-        assert len(split.test) == num_users
+        assert split.users.size == num_users
         report = evaluate(Scorer(), split)
 
         hr_sum = 0.0
         ndcg_sum = 0.0
         mrr_sum = 0.0
-        for u in sorted(split.test):
+        for u in split.users.tolist():
             vec = scores[u]
             test_score, negatives = vec[0], vec[1:100]
             position = 1
@@ -238,6 +232,24 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="user"):
             evaluate(Broken(), small_split)
 
+    def test_scorer_failure_of_a_several_argument_type_keeps_its_type(self, small_split):
+        error = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        class Broken:
+            def score_items(self, user, items):
+                raise error
+
+        with pytest.raises(UnicodeDecodeError) as caught:
+            evaluate(Broken(), small_split)
+        assert caught.value is error
+
+    def test_no_evaluated_users_is_data_error(self):
+        split = loo_split(make_cross_domain(per_user_target=2), derive_rng(0, "split"))
+        assert split.users.size == 0
+        for partition in ("test", "validation"):
+            with pytest.raises(DataError, match="no evaluated users"):
+                evaluate(_ConstantScorer(), split, partition)
+
 
 def generic_model(arch, split, seed=3):
     """Paper-sized model at a generic point: every tensor jittered off its init."""
@@ -257,10 +269,10 @@ def sparse_source_split(num_users, evaluated, seed=0):
              for u in range(num_users)]
     s_adj = [sorted(rng.choice(120, 4, replace=False)) if u % 3 else []
              for u in range(num_users)]
-    data = CrossDomainDataset(target=InteractionDataset(num_users, 150, t_adj),
-                              source=InteractionDataset(num_users, 120, s_adj))
+    data = CrossDomainDataset(target=from_adjacency(num_users, 150, t_adj),
+                              source=from_adjacency(num_users, 120, s_adj))
     split = loo_split(data, derive_rng(seed, "split"))
-    assert len(split.test) == evaluated
+    assert split.users.size == evaluated
     return split
 
 
@@ -275,10 +287,9 @@ ARCHS = ("mlp", "mlp++", "csn", "conet", "sconet")
 
 def candidate_matrix(split, partition="test"):
     """Sorted evaluated users and their ``(U, 100)`` candidates, held-out item first."""
-    held = split.test if partition == "test" else split.validation
-    users = np.asarray(sorted(held))
-    return users, np.stack([np.concatenate([[held[u]], split.eval_negatives[u]])
-                            for u in users.tolist()])
+    held = getattr(split, partition)
+    return split.users, np.stack([np.concatenate([[item], negatives])
+                                  for item, negatives in zip(held, split.eval_negatives)])
 
 
 class TestBatchedScoring:
@@ -317,8 +328,8 @@ def sourceless_quarter_split(acceptance_split):
     source = acceptance_split.train.source
     adjacency = [items if u % 4 else [] for u, items in enumerate(source.adjacency)]
     train = CrossDomainDataset(target=acceptance_split.train.target,
-                               source=InteractionDataset(source.num_users, source.num_items,
-                                                         adjacency))
+                               source=from_adjacency(source.num_users, source.num_items,
+                                                     adjacency))
     return dataclasses.replace(acceptance_split, train=train)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from conet.data import loo_split, reduce_training
 from conet.errors import ConfigError
-from conet.evaluation import MetricsReport, RankingResult
+from conet.evaluation import MetricsReport
 from conet.models import ModelConfig
 from conet.numerics import derive_rng
 from conet.studies import (
@@ -79,9 +79,8 @@ class TestCompare:
         # Rows follow arm positions: a repeated architecture is two arms,
         # each row its own arm's report, the baseline the first of them.
         reports = iter([
-            MetricsReport(hr, hr, hr, [RankingResult(u, p) for u, p in enumerate(positions)],
-                          10, 3)
-            for hr, positions in ((0.25, (1, 50, 50)), (0.75, (1, 1, 50)))
+            MetricsReport(hr, hr, hr, [0, 1, 2], positions, 10)
+            for hr, positions in ((0.25, [1, 50, 50]), (0.75, [1, 1, 50]))
         ])
         monkeypatch.setattr("conet.studies._train_and_evaluate",
                             lambda config, split, train_config: (next(reports), 1, []))

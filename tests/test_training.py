@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conet.data import CrossDomainDataset, InteractionDataset, LooSplit, loo_split
+from conet.data import CrossDomainDataset, loo_split
 from conet.errors import ConfigError, NumericError
 from conet.models import DomainSizes, ModelConfig, build_model, lasso_penalty
 from conet.numerics import derive_rng, sigmoid
@@ -13,13 +14,12 @@ from conet.training import (
     TrainConfig,
     Trainer,
     cross_entropy_from_logits,
-    fit,
     make_scorer,
     proximal_l1,
     sparsity_ratio,
 )
 
-from conftest import (cross_entropy_loss, factored_forward, make_cross_domain,
+from conftest import (cross_entropy_loss, factored_forward, from_adjacency, make_cross_domain,
                       reference_adam_step, reference_pairing)
 
 
@@ -232,9 +232,8 @@ class TestPairSourceItem:
 
     def make_split(self, source_adj):
         data = CrossDomainDataset(
-            target=InteractionDataset(len(source_adj), 120,
-                                      [[0, 1, 2]] * len(source_adj)),
-            source=InteractionDataset(len(source_adj), 50, source_adj),
+            target=from_adjacency(len(source_adj), 120, [[0, 1, 2]] * len(source_adj)),
+            source=from_adjacency(len(source_adj), 50, source_adj),
         )
         return loo_split(data, derive_rng(0, "s"))
 
@@ -345,15 +344,15 @@ class TestTrainer:
     def test_fit_zero_epochs_returns_initialized_model(self, split):
         model = small_model(sizes=sizes_of(split), seed=5)
         reference = build_model(model.config, sizes_of(split), 5)
-        trained, stats = fit(model, split, TrainConfig(epochs=0, seed=0))
+        stats = Trainer(model, split, TrainConfig(epochs=0, seed=0)).fit()
         assert stats == []
-        assert all(np.array_equal(trained.params[k], reference.params[k])
+        assert all(np.array_equal(model.params[k], reference.params[k])
                    for k in reference.params)
 
     def test_fit_deterministic(self, split):
         def run():
             model = small_model(sizes=sizes_of(split), seed=2)
-            _, stats = fit(model, split, TrainConfig(epochs=3, batch_size=16, seed=2))
+            stats = Trainer(model, split, TrainConfig(epochs=3, batch_size=16, seed=2)).fit()
             return model, stats
 
         m1, s1 = run()
@@ -363,7 +362,7 @@ class TestTrainer:
 
     def test_stats_length_bounded_by_epochs(self, split):
         model = small_model(sizes=sizes_of(split))
-        _, stats = fit(model, split, TrainConfig(epochs=4, batch_size=16, seed=1))
+        stats = Trainer(model, split, TrainConfig(epochs=4, batch_size=16, seed=1)).fit()
         assert len(stats) <= 4
         assert [st.epoch for st in stats] == list(range(1, len(stats) + 1))
 
@@ -372,8 +371,8 @@ class TestTrainer:
         # lambda zeroing H and tiny epochs) is overkill; instead patience=1
         # stops as soon as validation NDCG fails to improve once.
         model = small_model(sizes=sizes_of(split), seed=3)
-        _, stats = fit(model, split,
-                       TrainConfig(epochs=30, batch_size=16, seed=3, patience=1))
+        stats = Trainer(model, split,
+                        TrainConfig(epochs=30, batch_size=16, seed=3, patience=1)).fit()
         assert len(stats) < 30
 
     def test_non_finite_loss_aborts(self, split):
@@ -384,15 +383,17 @@ class TestTrainer:
             trainer.train_epoch()
 
     def test_empty_validation_gives_nan_metrics(self, split):
-        only_test = LooSplit(train=split.train, test=split.test, validation={},
-                             eval_negatives=split.eval_negatives)
+        none = np.empty(0, dtype=np.int64)
+        unevaluated = dataclasses.replace(split, users=none, test=none, validation=none,
+                                          eval_negatives=np.empty((0, 99), dtype=np.int64))
         model = small_model(sizes=sizes_of(split))
-        stats = Trainer(model, only_test, TrainConfig(epochs=1, batch_size=16, seed=0)).train_epoch()
+        stats = Trainer(model, unevaluated,
+                        TrainConfig(epochs=1, batch_size=16, seed=0)).train_epoch()
         assert math.isnan(stats.val_ndcg) and math.isnan(stats.val_hr)
 
     def test_epoch_stats_json_round_trip(self, split):
         model = small_model(sizes=sizes_of(split))
-        _, stats = fit(model, split, TrainConfig(epochs=1, batch_size=16, seed=0))
+        stats = Trainer(model, split, TrainConfig(epochs=1, batch_size=16, seed=0)).fit()
         line = stats[0].to_json_line()
         assert type(stats[0]).from_json_line(line) == stats[0]
 
