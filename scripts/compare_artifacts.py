@@ -5,17 +5,19 @@ Usage, from anywhere inside a checkout::
     python3 scripts/compare_artifacts.py PARENT_REF
 
 The script exports ``PARENT_REF`` with ``git archive`` into a temporary
-directory and generates the small data set of acceptance criterion 9
-with it. Then, in the exported tree and in this checkout's working tree,
-each with BLAS pinned to one thread, it runs ``conet train`` and two
+directory. Then, in the exported tree and in this checkout's working
+tree, each with BLAS pinned to one thread, it runs ``conet generate`` for
+the small data set of acceptance criterion 9, ``conet train`` and two
 ``conet evaluate`` runs for each of the five architectures (the default
 test partition, and the validation partition with uncut MRR and a top-5
-cutoff), one five-arm
-``conet compare --workers 2``, ``conet lambda-sweep --lambdas 0,0.1,1``
-and ``conet reduce-study --levels 0,1,2``, all on that same data. Each
-of the artifacts below is compared byte for byte; ``config.txt`` and
-every other file are skipped. It prints one line per artifact and exits 0 when all
-are identical, 1 when one differs or is missing, and 2 when a run fails.
+cutoff), ``conet sparsity-report`` on the sconet checkpoint and history,
+one five-arm ``conet compare --workers 2``, ``conet lambda-sweep
+--lambdas 0,0.1,1`` and ``conet reduce-study --levels 0,1,2``. Every run
+after ``generate`` reads the data the parent tree generated, so the two
+trees train on the same inputs. Each of the artifacts below is compared
+byte for byte; ``config.txt`` and every other file are skipped. It
+prints one line per artifact and exits 0 when all are identical, 1 when
+one differs or is missing, and 2 when a run fails.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ARTIFACTS = ("model.ckpt", "history.jsonl", "split.json", "summary.json", "metrics.json",
-             "study.json")
+ARTIFACTS = ("target.tsv", "source.tsv", "manifest.json", "model.ckpt", "history.jsonl",
+             "split.json", "summary.json", "metrics.json", "sparsity.json", "study.json")
 ARCHS = ("mlp", "mlp++", "csn", "conet", "sconet")
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
@@ -58,7 +60,8 @@ def conet(tree: Path, *args) -> None:
 
 
 def run_tree(tree: Path, data: Path, out: Path) -> None:
-    """Every run the comparison covers, its outputs under ``out``."""
+    """Every run the comparison covers, its outputs under ``out``; training reads ``data``."""
+    conet(tree, "generate", *GENERATE, "--out", out / "generate")
     inputs = ["--target", data / "target.tsv", "--source", data / "source.tsv"]
     for arch in ARCHS:
         run = out / f"train-{arch}"
@@ -68,6 +71,8 @@ def run_tree(tree: Path, data: Path, out: Path) -> None:
                               (f"evaluate-validation-{arch}", EVALUATE_VALIDATION)):
             conet(tree, "evaluate", "--checkpoint", run / "model.ckpt", "--split",
                   run / "split.json", *options, *inputs, "--out", out / name)
+    conet(tree, "sparsity-report", "--checkpoint", out / "train-sconet" / "model.ckpt",
+          "--history", out / "train-sconet" / "history.jsonl", "--out", out / "sparsity-report")
     conet(tree, "compare", "--archs", ",".join(ARCHS), "--workers", "2", *widths("compare"),
           *TRAIN, *inputs, "--out", out / "compare")
     conet(tree, "lambda-sweep", "--lambdas", "0,0.1,1", *widths("conet"), *TRAIN, *inputs,
@@ -105,9 +110,8 @@ def main(argv=None) -> int:
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
         try:
-            conet(parent, "generate", *GENERATE, "--out", tmp / "data")
-            run_tree(parent, tmp / "data", tmp / "parent")
-            run_tree(ROOT, tmp / "data", tmp / "change")
+            run_tree(parent, tmp / "parent" / "generate", tmp / "parent")
+            run_tree(ROOT, tmp / "parent" / "generate", tmp / "change")
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

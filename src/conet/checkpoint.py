@@ -25,6 +25,7 @@ import struct
 
 import numpy as np
 
+from .data import write_atomic
 from .errors import ConfigError, DataError
 from .models import DomainSizes, Model, ModelConfig
 
@@ -68,8 +69,7 @@ def save_checkpoint(model, path) -> None:
         out += _pack_str(name)
         out += struct.pack("<QQ", mat.shape[0], mat.shape[1])
         out += np.ascontiguousarray(mat, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(out))
+    write_atomic(path, bytes(out))
 
 
 class _Reader:
@@ -127,13 +127,6 @@ def load_checkpoint(path):
     num_widths = reader.u32()
     widths = tuple(reader.u32() for _ in range(num_widths))
     lam = reader.f64()
-    config = ModelConfig(
-        architecture=architecture,
-        embedding_dim=embedding_dim,
-        hidden_widths=widths,
-        lasso_lambda=lam,
-        share_user_embedding=not (flags & _FLAG_UNSHARED_EMBEDDING),
-    )
     params = {}
     for _ in range(reader.u32()):
         name = reader.text()
@@ -152,6 +145,9 @@ def load_checkpoint(path):
     # mlp names its item table Q, the two-tower models Q_t and Q_s.
     sizes = DomainSizes(_rows(params, "P"), _rows(params, "Q", "Q_t"), _rows(params, "Q_s"))
     try:
+        config = ModelConfig(architecture=architecture, embedding_dim=embedding_dim,
+                             hidden_widths=widths, lasso_lambda=lam,
+                             share_user_embedding=not (flags & _FLAG_UNSHARED_EMBEDDING))
         return Model(config, sizes, params)
     except ConfigError as exc:
         raise DataError(f"{path} does not hold a valid model: {exc}") from exc

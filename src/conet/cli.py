@@ -1,12 +1,12 @@
 """Command-line surface: reproducible runs bound to configs and seeds.
 
 Verbs: generate, train, evaluate, compare, reduce-study, sparsity-report,
-lambda-sweep. Every command reads an optional flat ``key = value`` config
-file, applies flag overrides, resolves its output directory (relative to
-``CONET_OUTPUT_ROOT`` when set) and echoes the fully resolved config next
-to its outputs. Exit codes: 0 success, 2 configuration error or an
-output that cannot be written, 3 data error, 4 numeric divergence, 130
-interrupted.
+lambda-sweep. One runner serves them all: it reads an optional flat
+``key = value`` config file, applies flag overrides, resolves the output
+directory (relative to ``CONET_OUTPUT_ROOT`` when set), runs the verb and
+echoes the fully resolved config next to its outputs. Exit codes: 0
+success, 2 configuration error or an output that cannot be written, 3
+data error, 4 numeric divergence, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -33,75 +33,61 @@ ENV_OUTPUT_ROOT = "CONET_OUTPUT_ROOT"
 
 @dataclass
 class RunConfig:
-    """Union of model, training, data and output settings for one run."""
+    """Union of model, training, data and output settings for one run.
+
+    A setting that a library config also holds takes its default from
+    that config's class, and :meth:`base_model_config`, :meth:`train_config`
+    and :meth:`synthetic_config` build the library configs from the fields
+    of the same names; the synthetic sizes drop the generator's ``num_``
+    prefix. The library configs check the values when they are built.
+    """
 
     architecture: str = "sconet"
-    embedding_dim: int = 32
-    hidden_widths: tuple = (64, 32, 16, 8)
-    lasso_lambda: float = 0.1
-    learning_rate: float = 0.001
-    batch_size: int = 128
-    negative_ratio: int = 1
-    epochs: int = 30
-    patience: object = 5
-    seed: int = 0
+    embedding_dim: int = ModelConfig.embedding_dim
+    hidden_widths: tuple = ModelConfig.hidden_widths
+    lasso_lambda: float = ModelConfig.lasso_lambda
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    negative_ratio: int = TrainConfig.negative_ratio
+    epochs: int = TrainConfig.epochs
+    patience: object = TrainConfig.patience
+    seed: int = TrainConfig.seed
     workers: int = 1
     target: str = ""
     source: str = ""
     split: str = ""
     min_user_interactions: int = 3
-    users: int = 1000
-    items_target: int = 1600
-    items_source: int = 1000
-    latent_dim: int = 8
-    relatedness: float = 0.9
-    target_density: float = 0.005
-    source_density: float = 0.015
+    users: int = dataio.SyntheticConfig.num_users
+    items_target: int = dataio.SyntheticConfig.num_items_target
+    items_source: int = dataio.SyntheticConfig.num_items_source
+    latent_dim: int = dataio.SyntheticConfig.latent_dim
+    relatedness: float = dataio.SyntheticConfig.relatedness
+    target_density: float = dataio.SyntheticConfig.target_density
+    source_density: float = dataio.SyntheticConfig.source_density
     top_n: int = 10
     mrr_uncut: bool = False
     out: str = ""
 
-    def base_model_config(self) -> ModelConfig:
-        """Model settings shared by every arm, before an architecture is resolved.
+    def _build(self, cls, **values):
+        """A ``cls`` config from this run's fields of the same names, then ``values``."""
+        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(cls)
+                  if f.name in vars(self)}
+        return cls(**shared | values)
 
-        Checked here, before any arm resolves its own lambda from it.
-        """
-        config = ModelConfig(
-            embedding_dim=self.embedding_dim,
-            hidden_widths=tuple(self.hidden_widths),
-            lasso_lambda=self.lasso_lambda,
-        )
-        config.validate()
-        return config
+    def base_model_config(self) -> ModelConfig:
+        """Model settings shared by every arm, before an architecture is resolved."""
+        return self._build(ModelConfig, architecture=ModelConfig.architecture)
 
     def model_config(self) -> ModelConfig:
-        config = studies.model_config_for(self.architecture, self.base_model_config())
-        config.validate()
-        return config
+        return studies.model_config_for(self.architecture, self.base_model_config())
 
     def train_config(self) -> TrainConfig:
-        cfg = TrainConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            negative_ratio=self.negative_ratio,
-            epochs=self.epochs,
-            patience=self.patience,
-            seed=self.seed,
-        )
-        cfg.validate()
-        return cfg
+        return self._build(TrainConfig)
 
     def synthetic_config(self) -> dataio.SyntheticConfig:
-        return dataio.SyntheticConfig(
-            num_users=self.users,
-            num_items_target=self.items_target,
-            num_items_source=self.items_source,
-            latent_dim=self.latent_dim,
-            relatedness=self.relatedness,
-            target_density=self.target_density,
-            source_density=self.source_density,
-            seed=self.seed,
-        )
+        return self._build(dataio.SyntheticConfig, num_users=self.users,
+                           num_items_target=self.items_target,
+                           num_items_source=self.items_source)
 
     def to_flat_text(self) -> str:
         lines = []
@@ -113,35 +99,26 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-_INT_TUPLE_FIELDS = {"hidden_widths"}
-_BOOL_FIELDS = {"mrr_uncut"}
-
-
-def _coerce(name: str, raw: str):
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
-    if name not in fields:
+def _coerce(name: str, raw):
+    """``raw`` read as the type of the default of field ``name``."""
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    if name not in defaults:
         raise ConfigError(f"unknown config key {name!r}")
-    if name in _BOOL_FIELDS:
-        if isinstance(raw, bool):
-            return raw
-        if str(raw).lower() in ("1", "true", "yes"):
+    default, text = defaults[name], str(raw)
+    if name == "patience" and text.lower() in ("none", "off"):
+        return None
+    if isinstance(default, bool):
+        if text.lower() in ("1", "true", "yes"):
             return True
-        if str(raw).lower() in ("0", "false", "no"):
+        if text.lower() in ("0", "false", "no"):
             return False
         raise ConfigError(f"{name} must be a boolean, got {raw!r}")
-    if name == "patience" and (raw is None or str(raw).lower() in ("none", "off")):
-        return None
-    default = fields[name].default
     try:
-        if name in _INT_TUPLE_FIELDS:
-            return tuple(int(v) for v in str(raw).replace(" ", "").split(",") if v)
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
+        if isinstance(default, tuple):
+            return tuple(int(v) for v in text.replace(" ", "").split(",") if v)
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"{name}: cannot read {raw!r} ({exc})") from exc
-    return str(raw)
 
 
 def load_run_config(path=None, overrides=None) -> RunConfig:
@@ -183,13 +160,11 @@ def resolve_out_dir(config: RunConfig, command: str) -> Path:
 
 
 def write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+    dataio.write_atomic(path, json.dumps(obj, indent=1) + "\n")
 
 
 def _echo_config(config: RunConfig, out_dir: Path) -> None:
-    (out_dir / "config.txt").write_text(config.to_flat_text(), encoding="utf-8")
+    dataio.write_atomic(out_dir / "config.txt", config.to_flat_text())
 
 
 def _dataset_name(config: RunConfig) -> str:
@@ -212,8 +187,7 @@ def _load_split(config: RunConfig) -> dataio.LooSplit:
 # Commands
 
 
-def cmd_generate(config: RunConfig) -> int:
-    out_dir = resolve_out_dir(config, "generate")
+def cmd_generate(config: RunConfig, args, out_dir: Path) -> None:
     syn = config.synthetic_config()
     data = dataio.generate_synthetic(syn)
     dataio.write_interactions(data.target, out_dir / "target.tsv")
@@ -237,13 +211,10 @@ def cmd_generate(config: RunConfig) -> int:
         },
     }
     write_json(out_dir / "manifest.json", manifest)
-    _echo_config(config, out_dir)
     print(f"wrote {out_dir / 'target.tsv'}, {out_dir / 'source.tsv'}")
-    return 0
 
 
-def cmd_train(config: RunConfig) -> int:
-    out_dir = resolve_out_dir(config, "train")
+def cmd_train(config: RunConfig, args, out_dir: Path) -> None:
     model_config = config.model_config()
     train_config = config.train_config()
     split = _load_split(config)
@@ -256,9 +227,8 @@ def cmd_train(config: RunConfig) -> int:
     trainer = Trainer(model, split, train_config)
     stats = trainer.fit()
     ckpt.save_checkpoint(model, out_dir / "model.ckpt")
-    with open(out_dir / "history.jsonl", "w", encoding="utf-8") as fh:
-        for st in stats:
-            fh.write(st.to_json_line() + "\n")
+    dataio.write_atomic(out_dir / "history.jsonl",
+                        "".join(st.to_json_line() + "\n" for st in stats))
 
     summary = {"architecture": config.architecture, "dataset": _dataset_name(config),
                "epochs_trained": len(stats)}
@@ -271,7 +241,6 @@ def cmd_train(config: RunConfig) -> int:
             "val_mrr": best.val_mrr,
         })
     write_json(out_dir / "summary.json", summary)
-    _echo_config(config, out_dir)
     if stats:
         last = stats[-1]
         print(f"trained {len(stats)} epochs; "
@@ -279,7 +248,6 @@ def cmd_train(config: RunConfig) -> int:
               f"final losses target={last.loss_target:.4f} source={last.loss_source:.4f}")
     else:
         print("trained 0 epochs (initialized model saved)")
-    return 0
 
 
 def _check_compat(model, split) -> None:
@@ -295,62 +263,38 @@ def _check_compat(model, split) -> None:
         )
 
 
-def cmd_evaluate(config: RunConfig, checkpoint_path: str, partition: str) -> int:
-    if not checkpoint_path:
+def cmd_evaluate(config: RunConfig, args, out_dir: Path) -> None:
+    if not args.checkpoint:
         raise ConfigError("evaluate needs --checkpoint")
     if not config.split:
         raise ConfigError("evaluate needs --split (the frozen split manifest)")
-    out_dir = resolve_out_dir(config, "evaluate")
     split = _load_split(config)
-    model = ckpt.load_checkpoint(checkpoint_path)
+    model = ckpt.load_checkpoint(args.checkpoint)
     _check_compat(model, split)
-    report = evaluate(make_scorer(model, split), split, partition=partition,
+    report = evaluate(make_scorer(model, split), split, partition=args.partition,
                       top_n=config.top_n, mrr_uncut=config.mrr_uncut)
     record = report.to_jsonable(model=model.config.architecture,
                                 dataset=_dataset_name(config))
     write_json(out_dir / "metrics.json", record)
-    _echo_config(config, out_dir)
-    print(f"{partition}: HR={report.hr:.4f} NDCG={report.ndcg:.4f} MRR={report.mrr:.4f} "
+    print(f"{args.partition}: HR={report.hr:.4f} NDCG={report.ndcg:.4f} MRR={report.mrr:.4f} "
           f"({report.num_evaluated_users} users)")
-    return 0
 
 
-def _run_study(config: RunConfig, command: str, study, arms, **kwargs) -> int:
-    """Run one study driver over the run's split and write ``study.json``."""
-    out_dir = resolve_out_dir(config, command)
-    report = study(_load_split(config), arms, config.base_model_config(),
-                   config.train_config(), workers=config.workers, **kwargs)
+def cmd_study(config: RunConfig, args, out_dir: Path) -> None:
+    """Run the verb's study driver over its arms and write ``study.json``."""
+    extra = {"baseline": args.baseline} if "baseline" in args else {}
+    report = args.study(_load_split(config), args.arms, config.base_model_config(),
+                        config.train_config(), workers=config.workers, **extra)
     write_json(out_dir / "study.json", report.to_jsonable())
-    _echo_config(config, out_dir)
     print(report.format_table())
     if report.summary:
         print(json.dumps(report.summary))
-    return 0
 
 
-def cmd_compare(config: RunConfig, archs, baseline) -> int:
-    if not archs:
-        raise ConfigError("compare needs --archs, e.g. --archs mlp,conet")
-    return _run_study(config, "compare", studies.compare_architectures, archs,
-                      baseline=baseline)
-
-
-def cmd_lambda_sweep(config: RunConfig, lambdas) -> int:
-    if not lambdas:
-        raise ConfigError("lambda-sweep needs --lambdas, e.g. --lambdas 0,0.1,1,10")
-    return _run_study(config, "lambda-sweep", studies.lambda_sweep, lambdas)
-
-
-def cmd_reduce_study(config: RunConfig, levels) -> int:
-    if not levels:
-        raise ConfigError("reduce-study needs --levels, e.g. --levels 0,1,2")
-    return _run_study(config, "reduce-study", studies.reduce_study, levels)
-
-
-def cmd_sparsity_report(config: RunConfig, checkpoint_path, history_path) -> int:
+def cmd_sparsity_report(config: RunConfig, args, out_dir: Path) -> None:
+    checkpoint_path, history_path = args.checkpoint, args.history
     if not checkpoint_path and not history_path:
         raise ConfigError("sparsity-report needs --checkpoint and/or --history")
-    out_dir = resolve_out_dir(config, "sparsity-report")
     record = {}
     if checkpoint_path:
         model = ckpt.load_checkpoint(checkpoint_path)
@@ -374,7 +318,6 @@ def cmd_sparsity_report(config: RunConfig, checkpoint_path, history_path) -> int
                               "(architecture without cross connections)")
         record["per_epoch"] = series
     write_json(out_dir / "sparsity.json", record)
-    _echo_config(config, out_dir)
     if "per_matrix" in record:
         print(f"{'matrix':<8} {'shape':>12} {'zero ratio':>12}")
         for row in record["per_matrix"]:
@@ -382,35 +325,26 @@ def cmd_sparsity_report(config: RunConfig, checkpoint_path, history_path) -> int
             print(f"{row['matrix']:<8} {shape:>12} {row['zero_ratio']:>12.4f}")
     if "per_epoch" in record:
         print(f"{len(record['per_epoch'])} epochs of sparsity history written")
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-    for f in dataclasses.fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, dest=f"cfg_{f.name}", default=None, metavar="V")
-
-
 def _config_from_args(args) -> RunConfig:
-    overrides = {}
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f"cfg_{f.name}", None)
-        if value is not None:
-            overrides[f.name] = value
+    overrides = {f.name: getattr(args, f"cfg_{f.name}") for f in dataclasses.fields(RunConfig)}
     return load_run_config(args.config, overrides)
 
 
 def _csv(text: str, convert, flag: str) -> list:
-    """The comma-separated values of a list-valued flag."""
+    """The comma-separated values of a list-valued flag, at least one."""
     try:
-        return [convert(v) for v in text.replace(" ", "").split(",") if v]
+        values = [convert(v) for v in text.replace(" ", "").split(",") if v]
     except ValueError as exc:
         raise ConfigError(f"{flag}: cannot read {text!r} ({exc})") from exc
+    if not values:
+        raise ConfigError(f"{flag} needs at least one value")
+    return values
 
 
 class _Parser(argparse.ArgumentParser):
@@ -421,42 +355,42 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The verbs' parser; each verb's ``run(config, args, out_dir)`` is its default."""
     parser = _Parser(
         prog="conet",
         description="Cross-domain collaborative filtering toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a synthetic cross-domain dataset")
-    _add_config_flags(p)
+    def verb(name, run, help_text, **defaults):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="flat key = value config file")
+        for f in dataclasses.fields(RunConfig):
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f"cfg_{f.name}", metavar="V")
+        p.set_defaults(run=run, **defaults)
+        return p
 
-    p = sub.add_parser("train", help="train one model and save the best checkpoint")
-    _add_config_flags(p)
+    def study(name, help_text, driver, flag, convert, **options):
+        p = verb(name, cmd_study, help_text, study=driver)
+        p.add_argument(flag, dest="arms", metavar=flag[2:].upper(), required=True,
+                       type=lambda text: _csv(text, convert, flag), **options)
+        return p
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on a frozen split")
-    _add_config_flags(p)
+    verb("generate", cmd_generate, "write a synthetic cross-domain dataset")
+    verb("train", cmd_train, "train one model and save the best checkpoint")
+    p = verb("evaluate", cmd_evaluate, "evaluate a checkpoint on a frozen split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--partition", choices=("test", "validation"), default="test")
-
-    p = sub.add_parser("compare", help="train several architectures on one split")
-    _add_config_flags(p)
-    p.add_argument("--archs", required=True,
-                   help="comma list from: " + ",".join(studies.ARCH_CHOICES))
+    p = study("compare", "train several architectures on one split",
+              studies.compare_architectures, "--archs", str,
+              help="comma list from: " + ",".join(studies.ARCH_CHOICES))
     p.add_argument("--baseline", default=None)
-
-    p = sub.add_parser("lambda-sweep", help="sweep the sparsity penalty")
-    _add_config_flags(p)
-    p.add_argument("--lambdas", required=True)
-
-    p = sub.add_parser("reduce-study", help="reduce target training data per user")
-    _add_config_flags(p)
-    p.add_argument("--levels", required=True)
-
-    p = sub.add_parser("sparsity-report", help="zero-entry ratios of transfer matrices")
-    _add_config_flags(p)
+    study("lambda-sweep", "sweep the sparsity penalty", studies.lambda_sweep, "--lambdas", float)
+    study("reduce-study", "reduce target training data per user", studies.reduce_study,
+          "--levels", int)
+    p = verb("sparsity-report", cmd_sparsity_report, "zero-entry ratios of transfer matrices")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--history", default=None)
-
     return parser
 
 
@@ -464,21 +398,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _config_from_args(args)
-        if args.command == "generate":
-            return cmd_generate(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config, args.checkpoint, args.partition)
-        if args.command == "compare":
-            return cmd_compare(config, _csv(args.archs, str, "--archs"), args.baseline)
-        if args.command == "lambda-sweep":
-            return cmd_lambda_sweep(config, _csv(args.lambdas, float, "--lambdas"))
-        if args.command == "reduce-study":
-            return cmd_reduce_study(config, _csv(args.levels, int, "--levels"))
-        if args.command == "sparsity-report":
-            return cmd_sparsity_report(config, args.checkpoint, args.history)
-        raise ConfigError(f"unknown command {args.command!r}")
+        out_dir = resolve_out_dir(config, args.command)
+        args.run(config, args, out_dir)
+        _echo_config(config, out_dir)
+        return 0
     except ConetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -18,8 +18,9 @@ bits as with a per-example sampler.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
-from functools import cached_property
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "ReductionResult",
     "load_interactions",
     "write_interactions",
+    "write_atomic",
     "align_domains",
     "loo_split",
     "sample_eval_negatives",
@@ -99,11 +101,6 @@ class InteractionDataset:
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    @cached_property
-    def adjacency(self) -> list:
-        """Per-user read-only views of ``indices``."""
-        return np.split(self.indices, self.indptr[1:-1])
 
     def items_of(self, user: int) -> np.ndarray:
         return self.indices[self.indptr[user] : self.indptr[user + 1]]
@@ -244,8 +241,25 @@ def write_interactions(dataset: InteractionDataset, path) -> None:
     """
     uids = dataset.user_ids or [str(u) for u in range(dataset.num_users)]
     iids = dataset.item_ids or [str(i) for i in range(dataset.num_items)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{uids[u]}\t{iids[i]}\n" for u, i in dataset.pairs().tolist())
+    write_atomic(path, "".join(f"{uids[u]}\t{iids[i]}\n" for u, i in dataset.pairs().tolist()))
+
+
+def write_atomic(path, content) -> None:
+    """Write ``content`` (text as UTF-8, or bytes) to ``path`` all or nothing.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``: an interrupted or failed write leaves any old file
+    as it was and no temporary file behind.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as fh:
+            fh.write(content.encode("utf-8") if isinstance(content, str) else content)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def align_domains(target: InteractionDataset, source: InteractionDataset) -> CrossDomainDataset:
@@ -390,6 +404,8 @@ class SyntheticConfig:
     ``relatedness`` blends the source-domain user factors between the
     shared target factors (1.0) and an independent draw (0.0), so it
     directly tunes how much transferable structure the two domains share.
+    A config checks itself when it is built, ``dataclasses.replace``
+    included, and raises :class:`ConfigError` on an invalid value.
     """
 
     num_users: int = 1000
@@ -400,6 +416,9 @@ class SyntheticConfig:
     target_density: float = 0.005
     source_density: float = 0.015
     seed: int = 0
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.num_users < 1 or self.num_items_target < 1 or self.num_items_source < 1:
@@ -470,7 +489,6 @@ def generate_synthetic(config: SyntheticConfig) -> CrossDomainDataset:
     per-user count set by the requested density. Deterministic in the
     config seed.
     """
-    config.validate()
     m, k = config.num_users, config.latent_dim
     user_factors = derive_rng(config.seed, "synthetic-users").standard_normal((m, k))
     noise = derive_rng(config.seed, "synthetic-user-noise").standard_normal((m, k))
@@ -568,8 +586,7 @@ def save_split_manifest(split: LooSplit, path) -> None:
         f'"validation": {held_out(split.validation)}',
         f'"eval_negatives": ' + _json_block("{", "}", blocks, 1),
     ], 0)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_atomic(path, text + "\n")
 
 
 _MANIFEST_KEYS = ("num_users", "num_items_target", "num_items_source",

@@ -62,7 +62,9 @@ class ModelConfig:
     The merged embedding (length ``2 * embedding_dim``) feeds the first
     hidden layer, so ``2 * embedding_dim`` must equal ``hidden_widths[0]``.
     ``lasso_lambda`` only matters for ``conet``; zero keeps the transfer
-    matrices dense, a positive value trains the sparse variant.
+    matrices dense, a positive value trains the sparse variant. A config
+    checks itself when it is built, ``dataclasses.replace`` included, and
+    raises :class:`ConfigError` on an invalid combination.
     """
 
     architecture: str = "conet"
@@ -70,6 +72,9 @@ class ModelConfig:
     hidden_widths: tuple = (64, 32, 16, 8)
     lasso_lambda: float = 0.1
     share_user_embedding: bool = True
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.architecture not in ARCHITECTURES:
@@ -195,7 +200,6 @@ def build_model(config: ModelConfig, sizes: DomainSizes, seed: int) -> "Model":
     Every tensor family draws from its own named stream, so the target
     tower of every architecture starts from the same values.
     """
-    config.validate()
     shapes = _param_shapes(config, sizes)
     towers = _towers(config)
     # Tensors are created in the order of ``shapes``: user tables, item
@@ -283,7 +287,6 @@ class Model:
     """Target tower, optional source tower, and a coupling step per transition."""
 
     def __init__(self, config: ModelConfig, sizes: DomainSizes, params: dict):
-        config.validate()
         self.config = config
         self.sizes = sizes
         self.params = params
@@ -292,7 +295,6 @@ class Model:
         self.domains = tuple(t.domain for t in self.towers)
         self.coupling = _COUPLING[config.architecture]
         self.coupling_names = _coupling_names(config)
-        self.frozen_cross = False
         if min(sizes.num_users, sizes.num_items_target) < 1 or (
                 self.dual and sizes.num_items_source < 1):
             raise ConfigError(f"{self.architecture} needs at least one user and one item "
@@ -309,19 +311,7 @@ class Model:
     def dual(self) -> bool:
         return len(self.towers) == 2
 
-    # -- diagnostics
-
-    def freeze_cross_at_zero(self) -> None:
-        """Pin every transfer matrix at zero and exclude it from training.
-
-        Diagnostic mode: with the cross connections dead the coupled model
-        must reduce exactly to two base networks sharing a user embedding.
-        """
-        if self.coupling != "cross":
-            raise ConfigError("only conet has transfer matrices to freeze")
-        for h in self.transfer_matrices():
-            h[:] = 0.0
-        self.frozen_cross = True
+    # -- parameter groups
 
     def transfer_matrices(self) -> list:
         return [self.params[n] for n in self.coupling_names] if self.coupling == "cross" else []
@@ -335,10 +325,8 @@ class Model:
         if domain not in self.domains:
             raise ConfigError(f"{self.architecture} has no {domain!r} domain to train")
         tower = self.towers[self.domains.index(domain)]
-        names = [tower.user, tower.items, tower.out, *tower.weights, *tower.biases]
-        if not self.frozen_cross:
-            names += self.coupling_names
-        return tuple(sorted(names))
+        return tuple(sorted([tower.user, tower.items, tower.out, *tower.weights,
+                             *tower.biases, *self.coupling_names]))
 
     # -- forward
 

@@ -3,9 +3,9 @@
 Every study freezes one leave-one-out split and trains all arms against
 it with the same seed, so per-user paired t-tests compare models under
 identical conditions. Each driver builds a list of ``(config, split)``
-arms and hands it to one runner, which validates every config first,
-trains the arms (in parallel worker threads if asked), and t-tests each
-against the baseline arm. An arm returns only what the report reads:
+arms, each config checked as it is built, so a bad arm fails before any
+arm trains. One runner trains the arms (in parallel worker threads if
+asked) and t-tests each against the baseline arm. An arm returns only what the report reads:
 its test metrics, its epoch count and the zero ratio of each transfer
 matrix; its model is dropped when the arm ends. Results are collected in
 arm order, so the report does not depend on scheduling.
@@ -13,7 +13,6 @@ arm order, so the report does not depend on scheduling.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -91,8 +90,7 @@ def model_config_for(arch: str, base: ModelConfig) -> ModelConfig:
     """Resolve a study arch name into a concrete model config.
 
     ``conet`` forces the penalty off; ``sconet`` keeps the configured
-    lambda (falling back to the 0.1 default when it was zero, so that a
-    non-finite or negative lambda still reaches ``validate``).
+    lambda, or the 0.1 default when it is zero.
     """
     if arch not in ARCH_CHOICES:
         raise ConfigError(f"unknown architecture {arch!r}; pick one of {ARCH_CHOICES}")
@@ -115,13 +113,9 @@ def _train_and_evaluate(config: ModelConfig, split: LooSplit, train_config: Trai
 def _run_arms(arms, baseline: int, train_config: TrainConfig, workers: int) -> list:
     """Train ``(config, split)`` arms and t-test each one against arm ``baseline``.
 
-    Every config is validated before any arm trains. Returns one
-    ``(report, epochs_trained, h_zero_ratios, p_value)`` per arm, in arm
-    order, whatever the number of worker threads.
+    Returns one ``(report, epochs_trained, h_zero_ratios, p_value)`` per
+    arm, in arm order, whatever the number of worker threads.
     """
-    for config, _ in arms:
-        config.validate()
-
     def run(arm):
         return _train_and_evaluate(*arm, train_config)
 
@@ -172,8 +166,6 @@ def lambda_sweep(split: LooSplit, lambdas, base_config: ModelConfig,
     """Train the cross-connection model once per penalty weight."""
     if len(lambdas) < 1:
         raise ConfigError("lambda sweep needs at least one value")
-    if any(not math.isfinite(lam) or lam < 0 for lam in lambdas):
-        raise ConfigError("penalty weights must be finite and >= 0")
     arms = [(replace(base_config, architecture="conet", lasso_lambda=float(lam)), split)
             for lam in lambdas]
     rows = [
@@ -204,8 +196,6 @@ def reduce_study(split: LooSplit, levels, base_config: ModelConfig,
     the first level where it falls below the MLP reference on NDCG.
     """
     levels = sorted(set(int(k) for k in levels))
-    if any(k < 0 for k in levels):
-        raise ConfigError("removal levels must be >= 0")
     sconet_config = model_config_for("sconet", base_config)
     reductions = [
         reduce_training(split, level, derive_rng(train_config.seed, "reduce", level))

@@ -39,7 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization hyperparameters. Defaults follow the experimental setup."""
+    """Optimization hyperparameters. Defaults follow the experimental setup.
+
+    A config checks itself when it is built, ``dataclasses.replace``
+    included, and raises :class:`ConfigError` on an invalid value.
+    """
 
     learning_rate: float = 0.001
     batch_size: int = 128
@@ -47,6 +51,9 @@ class TrainConfig:
     epochs: int = 30
     patience: Optional[int] = 5
     seed: int = 0
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if not math.isfinite(self.learning_rate):
@@ -247,7 +254,6 @@ class Trainer:
     """
 
     def __init__(self, model, split: LooSplit, config: TrainConfig):
-        config.validate()
         self.model = model
         self.split = split
         self.config = config
@@ -300,7 +306,7 @@ class Trainer:
             )
         self.optimizer.step(model.params, grads)
         lam = model.config.lasso_lambda
-        if lam > 0 and not model.frozen_cross:
+        if lam > 0:
             threshold = self.config.learning_rate * lam
             for h in model.transfer_matrices():
                 h[:] = proximal_l1(h, threshold)

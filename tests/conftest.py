@@ -90,6 +90,11 @@ def from_adjacency(num_users, num_items, adjacency, user_ids=None, item_ids=None
     return InteractionDataset.from_pairs(num_users, num_items, users, items, user_ids, item_ids)
 
 
+def items_by_user(dataset):
+    """Each user's items, ascending, as read-only views of ``dataset.indices``."""
+    return np.split(dataset.indices, dataset.indptr[1:-1])
+
+
 def held_by_user(split, partition="test"):
     """``{user: held-out item}`` of one partition of a split."""
     return dict(zip(split.users.tolist(), getattr(split, partition).tolist()))
@@ -271,13 +276,29 @@ def per_user_scorer(model, split):
 def same_interactions(a, b):
     """True when two datasets hold the same users, items and adjacency."""
     return (a.num_users == b.num_users and a.num_items == b.num_items
-            and all(np.array_equal(x, y) for x, y in zip(a.adjacency, b.adjacency)))
+            and all(np.array_equal(x, y) for x, y in zip(items_by_user(a), items_by_user(b))))
 
 
 # ---------------------------------------------------------------------------
 # Models and gradient checks
 
 TINY_SIZES = DomainSizes(num_users=7, num_items_target=5, num_items_source=6)
+
+
+def freeze_cross_at_zero(model):
+    """Pin every transfer matrix of a ``conet`` model at zero, out of training.
+
+    With the cross connections dead the coupled model must reduce exactly
+    to two base networks sharing a user embedding. The matrices leave the
+    model's update groups, so Adam never moves them, and the proximal L1
+    step leaves a zero matrix at zero.
+    """
+    assert model.coupling == "cross", "only conet has transfer matrices to freeze"
+    for h in model.transfer_matrices():
+        h[:] = 0.0
+    groups = model.update_group
+    model.update_group = lambda domain: tuple(
+        name for name in groups(domain) if name not in model.coupling_names)
 
 
 def tiny_model_config(arch):

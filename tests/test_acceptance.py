@@ -37,7 +37,7 @@ from conet.numerics import derive_rng
 from conet.studies import model_config_for, reduce_study
 from conet.training import TrainConfig, Trainer, make_scorer, sparsity_ratio
 
-from conftest import from_adjacency, gradient_check
+from conftest import freeze_cross_at_zero, from_adjacency, gradient_check
 
 
 def record(num, name, ok, detail=""):
@@ -123,7 +123,7 @@ def test_criterion_02_decoupling_oracle():
     conet = build_model(ModelConfig(architecture="conet", embedding_dim=4,
                                     hidden_widths=(8, 4, 2), lasso_lambda=0.1),
                         sizes, seed)
-    conet.freeze_cross_at_zero()
+    freeze_cross_at_zero(conet)
     Trainer(conet, split, tc).fit()
     mlppp = build_model(ModelConfig(architecture="mlp++", embedding_dim=4,
                                     hidden_widths=(8, 4, 2), lasso_lambda=0.0),
@@ -363,7 +363,7 @@ def _cap_users(data, max_users):
         adjacency = []
         for u in range(max_users):
             row = []
-            for i in ds.adjacency[u]:
+            for i in ds.items_of(u):
                 i = int(i)
                 if i not in item_map:
                     item_map[i] = len(item_ids)

@@ -11,8 +11,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conet.checkpoint import load_checkpoint, save_checkpoint
 from conet.cli import RunConfig, load_run_config, main
+from conet.data import SyntheticConfig
 from conet.errors import ConfigError
 from conet.models import DomainSizes, Model, ModelConfig
+from conet.training import TrainConfig
 
 
 GEN_FLAGS = [
@@ -61,6 +63,37 @@ class TestRunConfig:
         cfg_file.write_text("just some words\n")
         with pytest.raises(ConfigError):
             load_run_config(cfg_file)
+
+    def test_defaults_are_the_library_configs_defaults(self):
+        assert RunConfig().train_config() == TrainConfig()
+        assert RunConfig().synthetic_config() == SyntheticConfig()
+        assert RunConfig().base_model_config() == ModelConfig()
+
+    def test_synthetic_sizes_keep_their_run_names(self):
+        syn = load_run_config(overrides={"users": "30", "items_target": "200",
+                                         "items_source": "400", "seed": "4"}).synthetic_config()
+        assert (syn.num_users, syn.num_items_target, syn.num_items_source, syn.seed) == (
+            30, 200, 400, 4)
+
+    def test_flat_text_keeps_the_field_order(self):
+        # config.txt lists every key in this order; a moved or renamed
+        # field changes every echoed config.
+        assert RunConfig().to_flat_text() == (
+            "architecture = sconet\nembedding_dim = 32\nhidden_widths = 64,32,16,8\n"
+            "lasso_lambda = 0.1\nlearning_rate = 0.001\nbatch_size = 128\nnegative_ratio = 1\n"
+            "epochs = 30\npatience = 5\nseed = 0\nworkers = 1\ntarget = \nsource = \nsplit = \n"
+            "min_user_interactions = 3\nusers = 1000\nitems_target = 1600\nitems_source = 1000\n"
+            "latent_dim = 8\nrelatedness = 0.9\ntarget_density = 0.005\nsource_density = 0.015\n"
+            "top_n = 10\nmrr_uncut = False\nout = \n")
+
+    @pytest.mark.parametrize("key, raw, value", [
+        ("hidden_widths", "8, 4,2", (8, 4, 2)), ("mrr_uncut", "no", False),
+        ("patience", "off", None), ("patience", "3", 3), ("lasso_lambda", "1", 1.0),
+        ("epochs", "7", 7), ("target", "t.tsv", "t.tsv"),
+    ])
+    def test_value_takes_the_type_of_its_default(self, key, raw, value):
+        got = getattr(load_run_config(overrides={key: raw}), key)
+        assert got == value and type(got) is type(value)
 
 
 class TestGenerate:
@@ -326,7 +359,11 @@ class TestMalformedInput:
                                                  ("lambda-sweep", "--lambdas", "0,x"),
                                                  ("lambda-sweep", "--lambdas", "0,nan"),
                                                  ("lambda-sweep", "--lambdas", "0,inf"),
-                                                 ("reduce-study", "--levels", "0,1.5")])
+                                                 ("lambda-sweep", "--lambdas", "0,-1"),
+                                                 ("reduce-study", "--levels", "0,1.5"),
+                                                 ("reduce-study", "--levels", "0,-1"),
+                                                 ("compare", "--archs", ","),
+                                                 ("reduce-study", "--levels", " ")])
     def test_bad_list_flag_value_is_config_error(self, tmp_path, capsys, verb, flag, value):
         data = generate(tmp_path)
         capsys.readouterr()
@@ -421,8 +458,21 @@ class TestMalformedInput:
                      "--split", str(run / "split.json"), "--out", str(tmp_path / "ev")])
         self.assert_one_line_error(capsys, code, 2)
 
+    def test_interrupted_rerun_keeps_the_old_artifacts(self, tmp_path, capsys, monkeypatch):
+        out = generate(tmp_path)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("conet.data.os.replace", interrupted)
+        capsys.readouterr()
+        code = main(["generate", *GEN_FLAGS, "--seed", "1", "--out", str(out)])
+        self.assert_one_line_error(capsys, code, 130)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_interrupt_is_one_line_and_exit_130(self, tmp_path, capsys, monkeypatch):
-        def interrupted(config):
+        def interrupted(config, args, out_dir):
             raise KeyboardInterrupt
 
         monkeypatch.setattr("conet.cli.cmd_generate", interrupted)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,13 +17,14 @@ from conet.data import (
     reduce_training,
     sample_eval_negatives,
     save_split_manifest,
+    write_atomic,
     write_interactions,
 )
 from conet.errors import ConfigError, DataError
 from conet.numerics import derive_rng
 
-from conftest import (from_adjacency, has, held_by_user, reference_batches, reference_loo_draws,
-                      reference_manifest_text, same_interactions)
+from conftest import (from_adjacency, has, held_by_user, items_by_user, reference_batches,
+                      reference_loo_draws, reference_manifest_text, same_interactions)
 
 HELD_OUT = ("users", "test", "validation", "eval_negatives")
 
@@ -49,7 +51,7 @@ class TestInteractionDataset:
         assert ds.indices.tolist() == [1, 3, 0]
         assert ds.keys.tolist() == [1, 3, 8]
         assert ds.degrees.tolist() == [2, 0, 1]
-        assert [a.tolist() for a in ds.adjacency] == [[1, 3], [], [0]]
+        assert [a.tolist() for a in items_by_user(ds)] == [[1, 3], [], [0]]
         assert not ds.indices.flags.writeable and not ds.items_of(0).flags.writeable
 
     @pytest.mark.parametrize("adjacency, problem", [
@@ -68,7 +70,7 @@ class TestInteractionDataset:
         assert ds.contains(np.array([[0], [2]]), np.array([[3, 0]])).tolist() == [
             [True, False], [False, True]]
         smaller = ds.without([0, 2, 1], [3, 0, 2])
-        assert [a.tolist() for a in smaller.adjacency] == [[1], [], []]
+        assert [a.tolist() for a in items_by_user(smaller)] == [[1], [], []]
         assert not smaller.contains([0, 2], [3, 0]).any()
         assert smaller.user_ids == ds.user_ids and smaller.item_ids == ds.item_ids
         with pytest.raises(DataError, match=r"\(user 3, item 0\) is out of range"):
@@ -377,6 +379,40 @@ class TestGenerateSynthetic:
     def test_unachievable_density_rejected(self):
         with pytest.raises(ConfigError):
             SyntheticConfig(num_items_target=150, target_density=0.05).validate()
+
+    @pytest.mark.parametrize("change", [{"num_users": 0}, {"latent_dim": 0},
+                                        {"relatedness": 1.5}, {"target_density": 0.0}])
+    def test_bad_value_rejected_when_built_and_through_replace(self, change):
+        with pytest.raises(ConfigError):
+            SyntheticConfig(**change)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(SyntheticConfig(), **change)
+
+
+class TestWriteAtomic:
+    def test_replaces_the_file_and_leaves_nothing_else(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"old")
+        write_atomic(path, "new \u00e9\n")
+        write_atomic(tmp_path / "b.bin", b"\x00\xff")
+        assert path.read_bytes() == "new \u00e9\n".encode("utf-8")
+        assert (tmp_path / "b.bin").read_bytes() == b"\x00\xff"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.bin"]
+
+    def test_write_failing_partway_keeps_the_old_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"old")
+        with pytest.raises(UnicodeEncodeError):  # the temporary file is open by then
+            write_atomic(path, "new \ud800")
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("conet.data.os.replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write_atomic(path, "new")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
 
 class TestReduceTraining:

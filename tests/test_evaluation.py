@@ -20,8 +20,8 @@ from conet.numerics import derive_rng
 from conet.studies import model_config_for
 from conet.training import make_scorer
 
-from conftest import (from_adjacency, held_by_user, make_cross_domain, per_user_scorer,
-                      rank_test_item, reference_evaluate)
+from conftest import (from_adjacency, held_by_user, items_by_user, make_cross_domain,
+                      per_user_scorer, rank_test_item, reference_evaluate)
 
 
 class _FixedScorer:
@@ -326,7 +326,7 @@ class TestBatchedScoring:
 def sourceless_quarter_split(acceptance_split):
     """The acceptance split with every fourth user's source history removed."""
     source = acceptance_split.train.source
-    adjacency = [items if u % 4 else [] for u, items in enumerate(source.adjacency)]
+    adjacency = [items if u % 4 else [] for u, items in enumerate(items_by_user(source))]
     train = CrossDomainDataset(target=acceptance_split.train.target,
                                source=from_adjacency(source.num_users, source.num_items,
                                                      adjacency))

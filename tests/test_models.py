@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,8 @@ from conet.models import (
     lasso_penalty,
 )
 from conftest import TINY_SIZES as TINY
-from conftest import cross_unit, embed_lookup, factored_forward, gradient_check, model_with
+from conftest import (cross_unit, embed_lookup, factored_forward, freeze_cross_at_zero,
+                      gradient_check, model_with)
 from conftest import tiny_model_config as tiny_config
 from conftest import tiny_scaled_model as scaled_model
 
@@ -28,10 +30,8 @@ def probs_of(model, user, item_target, item_source=-1):
 
 class TestModelConfig:
     def test_csn_tower_widths_refused(self):
-        cfg = ModelConfig(architecture="csn", embedding_dim=32,
-                          hidden_widths=(64, 32, 16, 8))
         with pytest.raises(ConfigError):
-            cfg.validate()
+            ModelConfig(architecture="csn", embedding_dim=32, hidden_widths=(64, 32, 16, 8))
 
     def test_csn_uniform_widths_accepted(self):
         ModelConfig(architecture="csn", embedding_dim=32,
@@ -54,6 +54,15 @@ class TestModelConfig:
     def test_non_finite_lambda(self, lam):
         with pytest.raises(ConfigError, match="finite"):
             ModelConfig(architecture="conet", lasso_lambda=lam).validate()
+
+    @pytest.mark.parametrize("change", [{"architecture": "gcn"}, {"embedding_dim": 0},
+                                        {"hidden_widths": ()}, {"lasso_lambda": -1.0},
+                                        {"share_user_embedding": False}])
+    def test_bad_value_rejected_when_built_and_through_replace(self, change):
+        with pytest.raises(ConfigError):
+            ModelConfig(**change)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(ModelConfig(), **change)
 
     def test_default_transfer_matrix_count(self):
         assert ModelConfig(architecture="conet").num_transfer_matrices == 3
@@ -371,9 +380,9 @@ class TestCsnForward:
         assert alphas[1].tolist() == list(CSN_ALPHA_INIT)
 
     def test_nonuniform_widths_rejected_before_training(self):
-        cfg = ModelConfig(architecture="csn", embedding_dim=4, hidden_widths=(8, 4, 2))
         with pytest.raises(ConfigError):
-            build_model(cfg, TINY, 0)
+            build_model(ModelConfig(architecture="csn", embedding_dim=4, hidden_widths=(8, 4, 2)),
+                        TINY, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +448,6 @@ class TestUpdateGroups:
 
     def test_frozen_cross_drops_h_from_groups(self):
         model = scaled_model("conet", 16)
-        model.freeze_cross_at_zero()
+        freeze_cross_at_zero(model)
         assert all(not n.startswith("H_") for n in model.update_group("target"))
         assert all(np.all(model.params[f"H_{k}"] == 0.0) for k in range(2))

@@ -2,10 +2,12 @@
 
 A name a module lists in ``__all__`` must be read somewhere in
 ``src/conet`` other than where it is defined, or be re-exported by the
-package. Helpers that only tests call belong in ``tests/``.
+package. The same holds for the public methods of the package's classes.
+Helpers that only tests call belong in ``tests/``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "conet"
@@ -37,3 +39,29 @@ def test_every_public_name_is_used_by_the_package():
     unused = [f"{module}:{name}" for module, tree in trees.items() if module != "__init__.py"
               for name in _exported(tree) if name not in read and name not in reexported]
     assert not unused, f"public names only tests use: {unused}"
+
+
+def _overrides(cls, name):
+    return any(name in vars(base) for base in cls.__mro__[1:])
+
+
+def test_every_public_method_is_read_by_the_package():
+    # A public method of a class in src/conet is read as an attribute
+    # somewhere in the package; overrides of a base class's method (such
+    # as an argument parser's ``error``) are called by that base.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*({node.attr for node in ast.walk(tree)
+                          if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+                         for tree in trees.values()))
+    unread = []
+    for module, tree in trees.items():
+        namespace = vars(importlib.import_module(f"conet.{module}"))
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            unread += [f"{module}:{node.name}.{item.name}" for item in node.body
+                       if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                       and item.name not in read
+                       and not _overrides(namespace[node.name], item.name)]
+    assert not unread, f"public methods only tests use: {unread}"

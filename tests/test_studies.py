@@ -47,9 +47,8 @@ class TestModelConfigFor:
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5])
     def test_sconet_keeps_a_bad_penalty_for_validate(self, lam):
-        config = model_config_for("sconet", replace(BASE, lasso_lambda=lam))
         with pytest.raises(ConfigError):
-            config.validate()
+            model_config_for("sconet", replace(BASE, lasso_lambda=lam))
 
     def test_unknown_arch(self):
         with pytest.raises(ConfigError):

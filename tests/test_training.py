@@ -45,6 +45,14 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             TrainConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("change", [{"learning_rate": 0.0}, {"batch_size": 0},
+                                        {"negative_ratio": -1}, {"epochs": -1}, {"patience": 0}])
+    def test_bad_value_rejected_when_built_and_through_replace(self, change):
+        with pytest.raises(ConfigError):
+            TrainConfig(**change)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(TrainConfig(), **change)
+
 
 class TestCrossEntropy:
     """The training loss against the probability-form oracle."""
