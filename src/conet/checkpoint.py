@@ -48,19 +48,11 @@ def _pack_str(s: str) -> bytes:
 def save_checkpoint(model, path) -> None:
     """Serialize config and parameters; reload is bit-exact."""
     cfg = model.config
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<I", FORMAT_VERSION)
-    out += _pack_str(cfg.architecture)
-    flags = 0
-    if not cfg.share_user_embedding:
-        flags |= _FLAG_UNSHARED_EMBEDDING
-    out += struct.pack("<I", flags)
-    out += struct.pack("<I", cfg.embedding_dim)
-    out += struct.pack("<I", len(cfg.hidden_widths))
-    for w in cfg.hidden_widths:
-        out += struct.pack("<I", w)
-    out += struct.pack("<d", cfg.lasso_lambda)
+    widths = cfg.hidden_widths
+    flags = 0 if cfg.share_user_embedding else _FLAG_UNSHARED_EMBEDDING
+    out = bytearray(MAGIC + struct.pack("<I", FORMAT_VERSION) + _pack_str(cfg.architecture))
+    out += struct.pack(f"<III{len(widths)}Id", flags, cfg.embedding_dim, len(widths), *widths,
+                       cfg.lasso_lambda)
     names = sorted(model.params)
     out += struct.pack("<I", len(names))
     for name in names:
@@ -72,37 +64,6 @@ def save_checkpoint(model, path) -> None:
     write_atomic(path, bytes(out))
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise DataError("checkpoint file is truncated")
-        chunk = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
-
-    def text(self) -> str:
-        try:
-            return self.take(self.u16()).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"checkpoint has a malformed name ({exc})") from exc
-
-
 def _rows(params: dict, *names) -> int:
     return next((params[n].shape[0] for n in names if n in params), 0)
 
@@ -111,42 +72,54 @@ def load_checkpoint(path):
     """Rebuild the model saved by :func:`save_checkpoint`."""
     try:
         with open(path, "rb") as fh:
-            reader = _Reader(fh.read())
+            buf = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    if reader.take(len(MAGIC)) != MAGIC:
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(buf):
+            raise DataError("checkpoint file is truncated")
+        pos += n
+        return buf[pos - n : pos]
+
+    def text() -> str:
+        try:
+            return take(*struct.unpack("<H", take(2))).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"checkpoint has a malformed name ({exc})") from exc
+
+    if take(len(MAGIC)) != MAGIC:
         raise DataError(f"{path} is not a model checkpoint (bad magic)")
-    version = reader.u32()
+    (version,) = struct.unpack("<I", take(4))
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint format version {version}")
-    architecture = reader.text()
-    flags = reader.u32()
+    architecture = text()
+    (flags,) = struct.unpack("<I", take(4))
     if flags & ~_FLAG_UNSHARED_EMBEDDING:
         raise DataError(f"checkpoint sets unknown flags {flags:#x}")
-    embedding_dim = reader.u32()
-    num_widths = reader.u32()
-    widths = tuple(reader.u32() for _ in range(num_widths))
-    lam = reader.f64()
+    embedding_dim, num_widths = struct.unpack("<II", take(8))
+    *widths, lam = struct.unpack(f"<{num_widths}Id", take(4 * num_widths + 8))
     params = {}
-    for _ in range(reader.u32()):
-        name = reader.text()
-        rows = reader.u64()
-        cols = reader.u64()
-        data = np.frombuffer(reader.take(rows * cols * 8), dtype="<f8").astype(np.float64)
+    for _ in range(*struct.unpack("<I", take(4))):
+        name = text()
+        rows, cols = struct.unpack("<QQ", take(16))
+        data = np.frombuffer(take(rows * cols * 8), dtype="<f8").astype(np.float64)
         if name in params:
             raise DataError(f"checkpoint stores tensor {name} twice")
         if not np.all(np.isfinite(data)):
             raise DataError(f"checkpoint tensor {name} has non-finite values")
         arr = data.reshape(rows, cols)
         params[name] = arr.ravel().copy() if _is_vector_name(name) else arr.copy()
-    if reader.pos != len(reader.buf):
+    if pos != len(buf):
         raise DataError("checkpoint has trailing bytes")
 
     # mlp names its item table Q, the two-tower models Q_t and Q_s.
     sizes = DomainSizes(_rows(params, "P"), _rows(params, "Q", "Q_t"), _rows(params, "Q_s"))
     try:
         config = ModelConfig(architecture=architecture, embedding_dim=embedding_dim,
-                             hidden_widths=widths, lasso_lambda=lam,
+                             hidden_widths=tuple(widths), lasso_lambda=lam,
                              share_user_embedding=not (flags & _FLAG_UNSHARED_EMBEDDING))
         return Model(config, sizes, params)
     except ConfigError as exc:

@@ -264,8 +264,6 @@ def _check_compat(model, split) -> None:
 
 
 def cmd_evaluate(config: RunConfig, args, out_dir: Path) -> None:
-    if not args.checkpoint:
-        raise ConfigError("evaluate needs --checkpoint")
     if not config.split:
         raise ConfigError("evaluate needs --split (the frozen split manifest)")
     split = _load_split(config)

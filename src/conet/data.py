@@ -34,7 +34,6 @@ __all__ = [
     "LooSplit",
     "Batch",
     "SyntheticConfig",
-    "ReductionResult",
     "load_interactions",
     "write_interactions",
     "write_atomic",
@@ -172,7 +171,6 @@ class LooSplit:
 class Batch:
     """One mini-batch of labelled examples for a single domain."""
 
-    domain: str
     users: np.ndarray
     items: np.ndarray
     labels: np.ndarray
@@ -384,8 +382,7 @@ def epoch_batches(
         negative = np.arange(users.size) % per_positive != 0
         if negative_ratio:
             items[negative] = _negatives(dataset, users[negative], rng)
-        yield Batch(domain=domain, users=users, items=items,
-                    labels=(~negative).astype(np.float64))
+        yield Batch(users=users, items=items, labels=(~negative).astype(np.float64))
 
 
 def num_batches(dataset: InteractionDataset, batch_size: int) -> int:
@@ -515,19 +512,8 @@ def generate_synthetic(config: SyntheticConfig) -> CrossDomainDataset:
 # Training-set reduction
 
 
-@dataclass
-class ReductionResult:
-    split: LooSplit
-    removed: int
-    total_before: int
-
-    @property
-    def removed_fraction(self) -> float:
-        return self.removed / self.total_before if self.total_before else 0.0
-
-
-def reduce_training(split: LooSplit, per_user_removal: int, rng: np.random.Generator) -> ReductionResult:
-    """Drop up to ``per_user_removal`` train target interactions per user.
+def reduce_training(split: LooSplit, per_user_removal: int, rng: np.random.Generator) -> LooSplit:
+    """The split with up to ``per_user_removal`` train target interactions per user dropped.
 
     Removal is uniform without replacement per user and never drops a user
     below one remaining train interaction. The reduced split shares the
@@ -535,10 +521,9 @@ def reduce_training(split: LooSplit, per_user_removal: int, rng: np.random.Gener
     """
     if per_user_removal < 0:
         raise ConfigError("per_user_removal must be >= 0")
-    target = split.train.target
-    total_before = target.num_interactions
     if per_user_removal == 0:
-        return ReductionResult(split=split, removed=0, total_before=total_before)
+        return split
+    target = split.train.target
     degrees = target.degrees
     users: list = []
     items: list = []
@@ -548,8 +533,7 @@ def reduce_training(split: LooSplit, per_user_removal: int, rng: np.random.Gener
         users += [u] * drop.size
         items += drop.tolist()
     train = CrossDomainDataset(target=target.without(users, items), source=split.train.source)
-    return ReductionResult(split=replace(split, train=train), removed=len(items),
-                           total_before=total_before)
+    return replace(split, train=train)
 
 
 # ---------------------------------------------------------------------------

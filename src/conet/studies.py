@@ -197,14 +197,13 @@ def reduce_study(split: LooSplit, levels, base_config: ModelConfig,
     """
     levels = sorted(set(int(k) for k in levels))
     sconet_config = model_config_for("sconet", base_config)
-    reductions = [
-        reduce_training(split, level, derive_rng(train_config.seed, "reduce", level))
-        for level in levels
-    ]
+    reduced = [reduce_training(split, level, derive_rng(train_config.seed, "reduce", level))
+               for level in levels]
     arms = [(model_config_for("mlp", base_config), split)]
-    arms += [(sconet_config, red.split) for red in reductions]
+    arms += [(sconet_config, red) for red in reduced]
     (mlp_report, mlp_epochs, _, _), *results = _run_arms(arms, 0, train_config, workers)
 
+    total = split.train.target.num_interactions
     rows = [StudyRow(
         condition="mlp",
         metrics=mlp_report,
@@ -213,12 +212,13 @@ def reduce_study(split: LooSplit, levels, base_config: ModelConfig,
             "architecture": "mlp",
             "removed": 0,
             "removed_percent": 0.0,
-            "train_size": split.train.target.num_interactions,
+            "train_size": total,
             "epochs_trained": mlp_epochs,
         },
     )]
     crossover = None
-    for level, red, (report, epochs, _, p_value) in zip(levels, reductions, results):
+    for level, red, (report, epochs, _, p_value) in zip(levels, reduced, results):
+        removed = total - red.train.target.num_interactions
         rows.append(StudyRow(
             condition=f"sconet-remove-{level}",
             metrics=report,
@@ -227,9 +227,9 @@ def reduce_study(split: LooSplit, levels, base_config: ModelConfig,
                 "architecture": "conet",
                 "lambda": sconet_config.lasso_lambda,
                 "per_user_removal": level,
-                "removed": red.removed,
-                "removed_percent": 100.0 * red.removed_fraction,
-                "train_size": red.split.train.target.num_interactions,
+                "removed": removed,
+                "removed_percent": 100.0 * (removed / total if total else 0.0),
+                "train_size": total - removed,
                 "epochs_trained": epochs,
             },
         ))

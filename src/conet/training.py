@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Optional
 
 import numpy as np
@@ -103,8 +103,7 @@ class Adam:
     Each tensor carries its own update count for bias correction, so a
     tensor that is only touched by every other batch (a domain-specific
     tower in alternating training) sees exactly the same update sequence
-    it would in a single-domain run. ``step_count`` counts optimizer
-    steps globally, one per mini-batch. Updates run in place, in the
+    it would in a single-domain run. Updates run in place, in the
     textbook formula's operation order, so they round exactly as the
     out-of-place formula does; their temporaries live in one scratch
     buffer sized to the largest tensor, so memory stays flat.
@@ -119,7 +118,6 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.slots: dict = {}
-        self.step_count = 0
         self._scratch = np.empty(0)
 
     def _temporaries(self, shape) -> tuple:
@@ -130,7 +128,6 @@ class Adam:
 
     def step(self, params: dict, grads: dict) -> None:
         """Apply one Adam update to every tensor present in ``grads``."""
-        self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         for name, g in grads.items():
             p = params[name]
@@ -199,10 +196,22 @@ class EpochStats:
 
     @classmethod
     def from_json_line(cls, line: str) -> "EpochStats":
+        """One ``history.jsonl`` record; losses and metrics may be NaN (no evaluated users)."""
         try:
-            return cls(**json.loads(line))
+            stats = cls(**json.loads(line))
         except (ValueError, TypeError) as exc:
             raise DataError(f"malformed history line ({exc})") from exc
+        epoch, *metrics, ratios = astuple(stats)
+        if type(epoch) is not int or epoch < 1:
+            problem = f"epoch must be an integer >= 1, got {epoch!r}"
+        elif any(type(x) not in (int, float) for x in metrics):
+            problem = "losses and metrics must be numbers"
+        elif type(ratios) is not list or any(type(r) not in (int, float) or not 0 <= r <= 1
+                                             for r in ratios):
+            problem = "h_zero_ratios must be a list of numbers in [0, 1]"
+        else:
+            return stats
+        raise DataError(f"malformed history line ({problem})")
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +226,7 @@ class ModelScorer:
     users without source history.
     """
 
-    def __init__(self, model, source_train=None):
+    def __init__(self, model, source_train):
         self.model = model
         self.source_train = source_train
 
@@ -226,8 +235,6 @@ class ModelScorer:
         users = np.asarray(users, dtype=np.int64)
         sources = None
         if self.model.dual:
-            if self.source_train is None:
-                raise ConfigError("coupled models need the source train set for scoring")
             indptr = self.source_train.indptr
             held = indptr[users + 1] > indptr[users]
             sources = np.full(users.size, -1, dtype=np.int64)
@@ -236,7 +243,7 @@ class ModelScorer:
 
 
 def make_scorer(model, split: LooSplit) -> ModelScorer:
-    return ModelScorer(model, split.train.source if model.dual else None)
+    return ModelScorer(model, split.train.source)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +34,24 @@ def test_round_trip_bit_exact(arch, tmp_path):
     path2 = tmp_path / "model2.ckpt"
     save_checkpoint(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# sha256 of the file each small model saves to, recorded when the format
+# was still read field by field: the on-disk layout, the unshared-embedding
+# flag included, is fixed byte for byte.
+@pytest.mark.parametrize("arch,kwargs,digest", [
+    ("mlp", {}, "a20bdea3d5fcafbf7f96e45e14119fdc8608380378221dffa5605076fe2df022"),
+    ("mlp++", {}, "04369ed1ba27733b74d09efa9a6a61d238f889d34e67a2bdd515ad891cbb7b2e"),
+    ("csn", {}, "91e1659d1406aa38c37a8c27cc9dd282dbf7ca435abef3f0f3f47b64c3ce0bb3"),
+    ("conet", {"lasso_lambda": 0.25},
+     "032a559b5460c94a74fff9f7a2fc08fd1f898c5509ccfbae73c5fe35a16f29cf"),
+    ("mlp++", {"share_user_embedding": False},
+     "cb795e494ed1a4674247e0577e8ddad5c54a320bc01f31615102e6cbc8564ca1"),
+], ids=["mlp", "mlp++", "csn", "conet", "mlp++-unshared"])
+def test_saved_bytes_match_the_pinned_digest(arch, kwargs, digest, tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(build(arch, **kwargs), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_unshared_embedding_flag_round_trips(tmp_path):

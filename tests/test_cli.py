@@ -430,6 +430,32 @@ class TestMalformedInput:
         code = main(["sparsity-report", "--history", str(history), "--out", str(tmp_path / "sp")])
         self.assert_one_line_error(capsys, code, 3)
 
+    HISTORY_RECORD = {"epoch": 1, "loss_target": 0.6, "loss_source": 0.7, "penalty": 0.0,
+                      "val_hr": 0.5, "val_ndcg": 0.3, "val_mrr": 0.2, "h_zero_ratios": [0.5]}
+
+    @pytest.mark.parametrize("fields", [{"h_zero_ratios": "abc"},
+                                        {"epoch": "one", "h_zero_ratios": [0.5, {"a": 1}]},
+                                        {"h_zero_ratios": 5}, {"h_zero_ratios": [1.5]},
+                                        {"epoch": 0}, {"epoch": True}, {"val_ndcg": "0.3"},
+                                        {"penalty": None}],
+                             ids=["ratios-text", "epoch-text", "ratios-number", "ratio-above-1",
+                                  "epoch-0", "epoch-bool", "metric-text", "penalty-null"])
+    def test_mistyped_history_is_data_error(self, tmp_path, capsys, fields):
+        history = tmp_path / "history.jsonl"
+        history.write_text(json.dumps(self.HISTORY_RECORD | fields) + "\n")
+        code = main(["sparsity-report", "--history", str(history), "--out", str(tmp_path / "sp")])
+        self.assert_one_line_error(capsys, code, 3)
+        assert not (tmp_path / "sp" / "sparsity.json").exists()
+
+    def test_history_without_evaluated_users_is_read(self, tmp_path):
+        nan = {"val_hr": float("nan"), "val_ndcg": float("nan"), "val_mrr": float("nan")}
+        history = tmp_path / "history.jsonl"
+        history.write_text(json.dumps(self.HISTORY_RECORD | nan) + "\n")
+        assert main(["sparsity-report", "--history", str(history),
+                     "--out", str(tmp_path / "sp")]) == 0
+        record = json.loads((tmp_path / "sp" / "sparsity.json").read_text())
+        assert record["per_epoch"] == [{"epoch": 1, "h_zero_ratios": [0.5]}]
+
     @pytest.mark.parametrize("verb,flag", [("evaluate", "--checkpoint"), ("evaluate", "--split"),
                                            ("train", "--target")])
     def test_directory_input_is_data_error(self, tmp_path, capsys, frozen_run, verb, flag):

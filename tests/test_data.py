@@ -318,7 +318,6 @@ class TestEpochBatches:
         data = small_cross_domain()
         batch = next(epoch_batches(data.target, "target", 4, 1, derive_rng(3, "b")))
         assert len(batch) == 8 and batch.items.size == batch.labels.size == 8
-        assert batch.domain == "target"
         assert all((y == 1) == has(data.target, int(u), int(i))
                    for u, i, y in zip(batch.users, batch.items, batch.labels))
 
@@ -418,9 +417,9 @@ class TestWriteAtomic:
 class TestReduceTraining:
     def test_zero_removal_is_identity(self):
         split = loo_split(small_cross_domain(), derive_rng(0, "split"))
-        result = reduce_training(split, 0, derive_rng(0, "r"))
-        assert result.removed == 0
-        assert same_interactions(result.split.train.target, split.train.target)
+        reduced = reduce_training(split, 0, derive_rng(0, "r"))
+        assert reduced is split
+        assert same_interactions(reduced.train.target, split.train.target)
 
     def test_floor_of_one_interaction(self):
         data = CrossDomainDataset(
@@ -428,31 +427,30 @@ class TestReduceTraining:
             source=make_dataset([[0], [1]], 80),
         )
         split = loo_split(data, derive_rng(0, "split"))
-        result = reduce_training(split, 10, derive_rng(0, "r"))
+        reduced = reduce_training(split, 10, derive_rng(0, "r"))
         for u in range(2):
-            assert result.split.train.target.items_of(u).size >= 1
+            assert reduced.train.target.items_of(u).size >= 1
 
     def test_counts_and_untouched_holdouts(self):
         split = loo_split(small_cross_domain(num_users=20), derive_rng(1, "split"))
         before = split.train.target.num_interactions
-        result = reduce_training(split, 1, derive_rng(1, "r"))
-        assert result.removed == 20
-        assert result.total_before == before
-        assert result.split.train.target.num_interactions == before - 20
-        assert same_held_out(result.split, split)
+        reduced = reduce_training(split, 1, derive_rng(1, "r"))
+        assert split.train.target.num_interactions == before
+        assert reduced.train.target.num_interactions == before - 20
+        assert same_held_out(reduced, split)
 
     def test_shares_held_out_arrays(self):
         split = loo_split(small_cross_domain(num_users=20), derive_rng(1, "split"))
-        result = reduce_training(split, 1, derive_rng(1, "r"))
-        assert result.removed > 0
+        reduced = reduce_training(split, 1, derive_rng(1, "r"))
+        assert reduced.train.target.num_interactions < split.train.target.num_interactions
         for name in HELD_OUT:
-            assert getattr(result.split, name) is getattr(split, name)
+            assert getattr(reduced, name) is getattr(split, name)
 
     def test_deterministic(self):
         split = loo_split(small_cross_domain(), derive_rng(2, "split"))
         a = reduce_training(split, 2, derive_rng(5, "r"))
         b = reduce_training(split, 2, derive_rng(5, "r"))
-        assert same_interactions(a.split.train.target, b.split.train.target)
+        assert same_interactions(a.train.target, b.train.target)
 
 
 class TestSplitManifest:

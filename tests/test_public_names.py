@@ -45,15 +45,19 @@ def _overrides(cls, name):
     return any(name in vars(base) for base in cls.__mro__[1:])
 
 
+def _modules_and_attributes_read():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return trees, read
+
+
 def test_every_public_method_is_read_by_the_package():
     # A public method of a class in src/conet is read as an attribute
     # somewhere in the package; overrides of a base class's method (such
     # as an argument parser's ``error``) are called by that base.
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
-    read = set().union(*({node.attr for node in ast.walk(tree)
-                          if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-                         for tree in trees.values()))
+    trees, read = _modules_and_attributes_read()
     unread = []
     for module, tree in trees.items():
         namespace = vars(importlib.import_module(f"conet.{module}"))
@@ -65,3 +69,17 @@ def test_every_public_method_is_read_by_the_package():
                        and item.name not in read
                        and not _overrides(namespace[node.name], item.name)]
     assert not unread, f"public methods only tests use: {unread}"
+
+
+def test_every_assigned_attribute_is_read_by_the_package():
+    # State a class keeps on ``self`` is read somewhere in src/conet;
+    # state that only tests read belongs in the tests.
+    trees, read = _modules_and_attributes_read()
+    unread = sorted({f"{module}:{cls.name}.{node.attr}"
+                     for module, tree in trees.items()
+                     for cls in tree.body if isinstance(cls, ast.ClassDef)
+                     for node in ast.walk(cls)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                     and isinstance(node.value, ast.Name) and node.value.id == "self"
+                     and node.attr not in read})
+    assert not unread, f"attributes only tests read: {unread}"

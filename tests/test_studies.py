@@ -146,11 +146,11 @@ class TestReduceStudy:
 
     def test_reduction_counts_match_recount(self, split):
         before = split.train.target.num_interactions
-        result = reduce_training(split, 2, derive_rng(0, "reduce", 2))
+        reduced = reduce_training(split, 2, derive_rng(0, "reduce", 2))
         report = reduce_study(split, [2], BASE, FAST)
         row = report.rows[1]
         assert row.details["train_size"] == before - row.details["removed"]
-        assert row.details["removed"] == result.removed
+        assert row.details["removed"] == before - reduced.train.target.num_interactions
 
 
 class TestSparsityTable:
