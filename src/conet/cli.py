@@ -24,7 +24,7 @@ from . import data as dataio
 from . import studies
 from .errors import ConetError, ConfigError, DataError
 from .evaluation import evaluate
-from .models import DomainSizes, ModelConfig, build_model
+from .models import DomainSizes, Model, ModelConfig, build_model
 from .numerics import derive_rng
 from .training import EpochStats, TrainConfig, Trainer, make_scorer
 
@@ -251,16 +251,11 @@ def cmd_train(config: RunConfig, args, out_dir: Path) -> None:
 
 
 def _check_compat(model, split) -> None:
-    sizes = model.sizes
-    ok = (sizes.num_users == split.train.num_users
-          and sizes.num_items_target == split.train.target.num_items
-          and (not model.dual or sizes.num_items_source == split.train.source.num_items))
-    if not ok:
-        raise ConfigError(
-            "checkpoint/split mismatch: the checkpoint was trained on different "
-            f"data shapes (users={sizes.num_users}, items_t={sizes.num_items_target}, "
-            f"items_s={sizes.num_items_source})"
-        )
+    """Refuse a checkpoint whose tables do not fit the split's users and items."""
+    try:
+        Model(model.config, DomainSizes.from_split(split), model.params)
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint/split mismatch: {exc}") from exc
 
 
 def cmd_evaluate(config: RunConfig, args, out_dir: Path) -> None:

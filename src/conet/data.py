@@ -57,13 +57,12 @@ class InteractionDataset:
     User ``u``'s items are ``indices[indptr[u]:indptr[u + 1]]``, ascending;
     ``keys`` holds the same interactions as the sorted user-major keys
     ``u * num_items + i`` that membership tests search. The arrays are
-    read-only. Optional ``user_ids`` / ``item_ids`` keep the external
-    identifiers so that two domains can later be aligned over their
-    shared users.
+    read-only. ``user_ids`` / ``item_ids`` keep the external identifiers,
+    so that two domains can later be aligned over their shared users.
     """
 
     @classmethod
-    def from_pairs(cls, num_users, num_items, users, items, user_ids=None, item_ids=None):
+    def from_pairs(cls, num_users, num_items, users, items, user_ids, item_ids):
         """Dataset of the ``(users[k], items[k])`` interactions, in any order."""
         if num_users < 1 or num_items < 1:
             raise DataError("dataset needs at least one user and one item")
@@ -85,8 +84,8 @@ class InteractionDataset:
         dataset.indptr = np.searchsorted(keys, np.arange(num_users + 1, dtype=np.int64) * num_items)
         for arr in (dataset.keys, dataset.indices, dataset.indptr):
             arr.flags.writeable = False
-        dataset.user_ids = tuple(user_ids) if user_ids is not None else None
-        dataset.item_ids = tuple(item_ids) if item_ids is not None else None
+        dataset.user_ids = tuple(user_ids)
+        dataset.item_ids = tuple(item_ids)
         return dataset
 
     @property
@@ -232,13 +231,12 @@ def load_interactions(path, min_user_interactions: int = 3) -> InteractionDatase
 def write_interactions(dataset: InteractionDataset, path) -> None:
     """Write a dataset back to the tab-separated format, user-major.
 
-    Uses the external identifiers when present, else the dense indices.
-    Loading the written file with ``min_user_interactions=1`` reproduces
-    the dataset exactly whenever its indices are in first-appearance
-    order (true for loaded and generated datasets).
+    Lines carry the external identifiers. Loading the written file with
+    ``min_user_interactions=1`` reproduces the dataset exactly whenever
+    its indices are in first-appearance order (true for loaded and
+    generated datasets).
     """
-    uids = dataset.user_ids or [str(u) for u in range(dataset.num_users)]
-    iids = dataset.item_ids or [str(i) for i in range(dataset.num_items)]
+    uids, iids = dataset.user_ids, dataset.item_ids
     write_atomic(path, "".join(f"{uids[u]}\t{iids[i]}\n" for u, i in dataset.pairs().tolist()))
 
 
@@ -267,16 +265,13 @@ def align_domains(target: InteractionDataset, source: InteractionDataset) -> Cro
     items are reindexed over the surviving interactions only. Raises when
     the user intersection is empty.
     """
-    if target.user_ids is None or source.user_ids is None:
-        raise DataError("align_domains needs datasets with external user ids")
     source_index = {u: k for k, u in enumerate(source.user_ids)}
     shared = [u for u in target.user_ids if u in source_index]
     if not shared:
         raise DataError("no users shared between the two domains")
 
     def rebuild(ds, users_old):
-        return _first_appearance([ds.items_of(u) for u in users_old], shared,
-                                 ds.item_ids or [str(i) for i in range(ds.num_items)])
+        return _first_appearance([ds.items_of(u) for u in users_old], shared, ds.item_ids)
 
     target_old = {u: k for k, u in enumerate(target.user_ids)}
     new_target = rebuild(target, [target_old[u] for u in shared])
@@ -370,9 +365,8 @@ def epoch_batches(
         raise DataError(f"{domain} domain has no training interactions")
     full = np.flatnonzero(dataset.degrees == dataset.num_items)
     if negative_ratio and full.size:
-        user = dataset.user_ids[full[0]] if dataset.user_ids else int(full[0])
-        raise DataError(f"{domain} domain: user {user!r} holds all {dataset.num_items} items, "
-                        "so no negative can be drawn")
+        raise DataError(f"{domain} domain: user {dataset.user_ids[full[0]]!r} holds all "
+                        f"{dataset.num_items} items, so no negative can be drawn")
     order = rng.permutation(pairs.shape[0])
     per_positive = 1 + negative_ratio
     for start in range(0, order.size, batch_size):
@@ -415,9 +409,6 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if self.num_users < 1 or self.num_items_target < 1 or self.num_items_source < 1:
             raise ConfigError("synthetic sizes must be positive")
         if self.latent_dim < 1:

@@ -74,9 +74,6 @@ class ModelConfig:
     share_user_embedding: bool = True
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.architecture!r}; pick one of {ARCHITECTURES}")
         if not self.hidden_widths:
@@ -288,7 +285,6 @@ class Model:
 
     def __init__(self, config: ModelConfig, sizes: DomainSizes, params: dict):
         self.config = config
-        self.sizes = sizes
         self.params = params
         self.architecture = config.architecture
         self.towers = _towers(config)
@@ -306,6 +302,10 @@ class Model:
         for name, shape in expected.items():
             if params[name].shape != shape:
                 raise ConfigError(f"{name} must have shape {shape}, got {params[name].shape}")
+        # Parameters a batch of each domain updates: its own tower, plus the
+        # shared user embedding and the coupling, which move with every batch.
+        self.groups = {t.domain: (t.user, t.items, t.out, *t.weights, *t.biases,
+                                  *self.coupling_names) for t in self.towers}
 
     @property
     def dual(self) -> bool:
@@ -315,18 +315,6 @@ class Model:
 
     def transfer_matrices(self) -> list:
         return [self.params[n] for n in self.coupling_names] if self.coupling == "cross" else []
-
-    def update_group(self, domain: str):
-        """Parameters updated by a batch of the given domain.
-
-        Task-specific tensors belong to their own domain; the shared user
-        embedding and the coupling parameters move with every batch.
-        """
-        if domain not in self.domains:
-            raise ConfigError(f"{self.architecture} has no {domain!r} domain to train")
-        tower = self.towers[self.domains.index(domain)]
-        return tuple(sorted([tower.user, tower.items, tower.out, *tower.weights,
-                             *tower.biases, *self.coupling_names]))
 
     # -- forward
 

@@ -46,11 +46,8 @@ def sigmoid(x):
 
     Uses the exp-of-negative-magnitude form so the exponential never
     overflows; ``min(x, -x)`` is ``-|x|`` that keeps the sign bit of a NaN
-    argument. Accepts scalars or arrays.
+    argument.
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(np.minimum(x, -x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))

@@ -53,9 +53,6 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if not math.isfinite(self.learning_rate):
             raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate <= 0:
@@ -162,15 +159,11 @@ def proximal_l1(h: np.ndarray, threshold: float) -> np.ndarray:
     """Soft-threshold every entry: sign(h) * max(|h| - threshold, 0)."""
     if threshold < 0:
         raise ConfigError("proximal threshold must be >= 0")
-    if threshold == 0.0:
-        return h.copy()
     return np.sign(h) * np.maximum(np.abs(h) - threshold, 0.0)
 
 
 def sparsity_ratio(h: np.ndarray) -> float:
     """Fraction of entries exactly equal to zero."""
-    if h.size == 0:
-        return 0.0
     return float(np.count_nonzero(h == 0.0) / h.size)
 
 
@@ -266,10 +259,6 @@ class Trainer:
         self.config = config
         self.optimizer = Adam(config.learning_rate)
         self._epoch = 0
-        self._batch_rng = {
-            "target": derive_rng(config.seed, "batches", "target"),
-            "source": derive_rng(config.seed, "batches", "source"),
-        }
         self._pair_rng = {
             "target": derive_rng(config.seed, "pairing", "target"),
             "source": derive_rng(config.seed, "pairing", "source"),
@@ -281,9 +270,10 @@ class Trainer:
 
     def _cycle(self, domain: str):
         cfg = self.config
+        rng = derive_rng(cfg.seed, "batches", domain)
         while True:
             yield from epoch_batches(self._dataset(domain), domain, cfg.batch_size,
-                                     cfg.negative_ratio, self._batch_rng[domain])
+                                     cfg.negative_ratio, rng)
 
     def _paired_items(self, domain: str, users: np.ndarray) -> np.ndarray:
         # For a target batch, pick one source item per example (and vice
@@ -306,7 +296,7 @@ class Trainer:
         labels = [batch.labels if d == domain else None for d in model.domains]
         trace = model.forward_batch(batch.users, *items)
         loss = cross_entropy_from_logits(trace.logits[model.domains.index(domain)], batch.labels)
-        grads = model.backward_batch(trace, *labels, wanted=model.update_group(domain))
+        grads = model.backward_batch(trace, *labels, wanted=model.groups[domain])
         if not math.isfinite(loss):
             raise NumericError(
                 f"non-finite training loss at epoch {self._epoch}, step {step} ({domain} batch)"
@@ -320,18 +310,30 @@ class Trainer:
         return loss, len(batch)
 
     def train_epoch(self) -> EpochStats:
-        """One alternating pass; returns losses, validation metrics, sparsity."""
+        """One alternating pass; returns losses, validation metrics, sparsity.
+
+        An overflow, invalid operation or division by zero in a step raises
+        :class:`NumericError` naming the epoch, step and domain. Underflow
+        stays silent: ``sigmoid`` and the softplus underflow legitimately.
+        Validation keeps numpy's default error state: raising there made
+        concurrent study arms rank more slowly.
+        """
         model = self.model
         cfg = self.config
         self._epoch += 1
         steps = max(num_batches(self._dataset(d), cfg.batch_size) for d in model.domains)
         sums = {"target": 0.0, "source": 0.0}
         counts = {"target": 0, "source": 0}
-        for step in range(steps):
-            for domain in model.domains:
-                loss, n = self._train_step(domain, step)
-                sums[domain] += loss
-                counts[domain] += n
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for step in range(steps):
+                    for domain in model.domains:
+                        loss, n = self._train_step(domain, step)
+                        sums[domain] += loss
+                        counts[domain] += n
+        except FloatingPointError as exc:
+            raise NumericError(f"numeric divergence at epoch {self._epoch}, step {step} "
+                               f"({domain} batch): {exc}") from exc
         val = self._validation_metrics()
         matrices = model.transfer_matrices()
         return EpochStats(
@@ -366,10 +368,7 @@ class Trainer:
         for _ in range(cfg.epochs):
             st = self.train_epoch()
             stats.append(st)
-            if math.isnan(st.val_ndcg):
-                best = {k: v.copy() for k, v in self.model.params.items()}
-                continue
-            if st.val_ndcg > best_ndcg:
+            if math.isnan(st.val_ndcg) or st.val_ndcg > best_ndcg:
                 best_ndcg = st.val_ndcg
                 best = {k: v.copy() for k, v in self.model.params.items()}
                 bad = 0

@@ -6,6 +6,13 @@ arithmetic that the batched model path is compared against.
 
 import json
 import math
+import os
+
+# One BLAS thread per test process: the suite's matrices are small, and a
+# second thread burns a core without shortening the run. numpy reads these
+# when it loads, so they are set before the first import below.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest
@@ -83,11 +90,17 @@ def cross_entropy_loss(predictions, labels):
 
 
 def from_adjacency(num_users, num_items, adjacency, user_ids=None, item_ids=None):
-    """Dataset in which user ``u`` holds the items ``adjacency[u]``."""
+    """Dataset in which user ``u`` holds the items ``adjacency[u]``.
+
+    Users and items without given ids are named by their indices.
+    """
     rows = [np.asarray(items, dtype=np.int64).ravel() for items in adjacency]
     users = np.repeat(np.arange(len(rows)), [row.size for row in rows])
     items = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    return InteractionDataset.from_pairs(num_users, num_items, users, items, user_ids, item_ids)
+    return InteractionDataset.from_pairs(
+        num_users, num_items, users, items,
+        [str(u) for u in range(num_users)] if user_ids is None else user_ids,
+        [str(i) for i in range(num_items)] if item_ids is None else item_ids)
 
 
 def items_by_user(dataset):
@@ -296,9 +309,8 @@ def freeze_cross_at_zero(model):
     assert model.coupling == "cross", "only conet has transfer matrices to freeze"
     for h in model.transfer_matrices():
         h[:] = 0.0
-    groups = model.update_group
-    model.update_group = lambda domain: tuple(
-        name for name in groups(domain) if name not in model.coupling_names)
+    model.groups = {domain: tuple(name for name in group if name not in model.coupling_names)
+                    for domain, group in model.groups.items()}
 
 
 def tiny_model_config(arch):

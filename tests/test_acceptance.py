@@ -245,13 +245,11 @@ def test_criterion_06_csn_width_refusal():
     """The tower pattern is refused for cross-stitch coupling, uniform accepted."""
     refused = False
     try:
-        ModelConfig(architecture="csn", embedding_dim=32,
-                    hidden_widths=(64, 32, 16, 8)).validate()
+        ModelConfig(architecture="csn", embedding_dim=32, hidden_widths=(64, 32, 16, 8))
     except ConfigError:
         refused = True
     uniform = ModelConfig(architecture="csn", embedding_dim=32,
                           hidden_widths=(64, 64, 64, 64))
-    uniform.validate()
     model = build_model(uniform, DomainSizes(20, 30, 30), seed=0)
     built = model.architecture == "csn"
     ok = refused and built

@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import conet
 from conet.checkpoint import load_checkpoint, save_checkpoint
 from conet.cli import RunConfig, load_run_config, main
 from conet.data import SyntheticConfig
@@ -143,6 +148,25 @@ class TestTrain:
         assert (out1 / "history.jsonl").read_bytes() == (out2 / "history.jsonl").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
+    def test_checkpoint_does_not_depend_on_blas_threads(self, tmp_path):
+        # Default-sized data, so that OpenBLAS splits the larger products
+        # over its threads; each run pins its thread count before numpy loads.
+        data = tmp_path / "data"
+        assert main(["generate", "--seed", "1", "--out", str(data)]) == 0
+        src = str(Path(conet.__file__).resolve().parents[1])
+        checkpoints = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            out = tmp_path / f"threads-{threads}"
+            subprocess.run([sys.executable, "-m", "conet.cli", "train", "--architecture", "sconet",
+                            "--epochs", "1", "--target", str(data / "target.tsv"),
+                            "--source", str(data / "source.tsv"), "--out", str(out)],
+                           env=env, capture_output=True, timeout=600, check=True)
+            checkpoints.append((out / "model.ckpt").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+
     def test_mlp_warns_source_ignored(self, tmp_path, capsys):
         data = generate(tmp_path)
         code, _ = train(tmp_path, data, arch="mlp")
@@ -246,7 +270,7 @@ class TestEvaluate:
         record = json.loads((out / "metrics.json").read_text())
         assert record["hr"] == record["ndcg"] == record["mrr"] == 1.0
 
-    def test_shape_mismatch_is_config_error(self, tmp_path):
+    def test_shape_mismatch_is_config_error(self, tmp_path, capsys):
         data = generate(tmp_path)
         _, run = train(tmp_path, data)
         other = generate(tmp_path / "other", seed=9,
@@ -258,6 +282,31 @@ class TestEvaluate:
             "--split", str(run / "split.json"), "--out", str(tmp_path / "bad"),
         ])
         assert code == 2
+
+        # Only the source item count differs: one more source item, and the
+        # same split with its source size raised to match.
+        wider = tmp_path / "wider"
+        wider.mkdir()
+        (wider / "source.tsv").write_text((data / "source.tsv").read_text() + "u0\tnew\n")
+        manifest = json.loads((run / "split.json").read_text())
+        manifest["num_items_source"] += 1
+        (wider / "split.json").write_text(json.dumps(manifest))
+        num_items_source = manifest["num_items_source"]
+        for arch, expected in (("conet", 2), ("mlp", 0)):
+            _, arch_run = train(tmp_path, data, arch=arch)
+            capsys.readouterr()
+            code = main([
+                "evaluate", "--checkpoint", str(arch_run / "model.ckpt"),
+                "--target", str(data / "target.tsv"), "--source", str(wider / "source.tsv"),
+                "--split", str(wider / "split.json"), "--out", str(tmp_path / f"eval-{arch}"),
+            ])
+            assert code == expected, arch
+            err = capsys.readouterr().err.strip().splitlines()
+            if expected:
+                assert err == [f"error: checkpoint/split mismatch: Q_s must have shape "
+                               f"({num_items_source}, 4), got ({num_items_source - 1}, 4)"]
+            else:
+                assert err == []
 
 
 class TestStudies:
@@ -371,6 +420,23 @@ class TestMalformedInput:
                      "--target", str(data / "target.tsv"), "--source", str(data / "source.tsv"),
                      "--out", str(tmp_path / "o")])
         self.assert_one_line_error(capsys, code, 2)
+
+    @pytest.mark.parametrize("rate", ["1e300", "1e30"])
+    def test_divergence_is_one_line_and_exit_4(self, tmp_path, capfd, rate):
+        # Default model sizes: at 1e30 a small network trains on without
+        # overflowing, while the default one overflows inside Adam.
+        data = generate(tmp_path, seed=3)
+        capfd.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--epochs", "3", "--seed", "11", "--learning-rate", rate,
+                         "--target", str(data / "target.tsv"),
+                         "--source", str(data / "source.tsv"), "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert [str(w.message) for w in caught] == []
+        err = capfd.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: numeric divergence at epoch 1, step 0 (source batch): overflow encountered")
 
     def test_source_user_holding_every_item_is_data_error(self, tmp_path, capsys):
         # No negative exists for such a user; training must stop, not spin.

@@ -74,7 +74,7 @@ class TestInteractionDataset:
         assert not smaller.contains([0, 2], [3, 0]).any()
         assert smaller.user_ids == ds.user_ids and smaller.item_ids == ds.item_ids
         with pytest.raises(DataError, match=r"\(user 3, item 0\) is out of range"):
-            InteractionDataset.from_pairs(3, 4, [0, 3], [1, 0])
+            InteractionDataset.from_pairs(3, 4, [0, 3], [1, 0], ["a", "b", "c"], list("wxyz"))
 
 
 class TestLoadInteractions:
@@ -377,7 +377,7 @@ class TestGenerateSynthetic:
 
     def test_unachievable_density_rejected(self):
         with pytest.raises(ConfigError):
-            SyntheticConfig(num_items_target=150, target_density=0.05).validate()
+            SyntheticConfig(num_items_target=150, target_density=0.05)
 
     @pytest.mark.parametrize("change", [{"num_users": 0}, {"latent_dim": 0},
                                         {"relatedness": 1.5}, {"target_density": 0.0}])

@@ -35,25 +35,25 @@ class TestModelConfig:
 
     def test_csn_uniform_widths_accepted(self):
         ModelConfig(architecture="csn", embedding_dim=32,
-                    hidden_widths=(64, 64, 64, 64)).validate()
+                    hidden_widths=(64, 64, 64, 64))
 
     def test_embedding_must_match_first_width(self):
         with pytest.raises(ConfigError):
             ModelConfig(architecture="mlp", embedding_dim=8,
-                        hidden_widths=(64, 32)).validate()
+                        hidden_widths=(64, 32))
 
     def test_unknown_architecture(self):
         with pytest.raises(ConfigError):
-            ModelConfig(architecture="gcn").validate()
+            ModelConfig(architecture="gcn")
 
     def test_negative_lambda(self):
         with pytest.raises(ConfigError):
-            ModelConfig(architecture="conet", lasso_lambda=-0.5).validate()
+            ModelConfig(architecture="conet", lasso_lambda=-0.5)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
     def test_non_finite_lambda(self, lam):
         with pytest.raises(ConfigError, match="finite"):
-            ModelConfig(architecture="conet", lasso_lambda=lam).validate()
+            ModelConfig(architecture="conet", lasso_lambda=lam)
 
     @pytest.mark.parametrize("change", [{"architecture": "gcn"}, {"embedding_dim": 0},
                                         {"hidden_widths": ()}, {"lasso_lambda": -1.0},
@@ -422,8 +422,8 @@ class TestBackward:
         trace = model.forward_batch(users, np.array([0, 1]), np.array([0, 1]))
         full = model.backward_batch(trace, labels_target=np.ones(2))
         partial = model.backward_batch(trace, labels_target=np.ones(2),
-                                       wanted=model.update_group("target"))
-        assert set(partial) == set(model.update_group("target"))
+                                       wanted=model.groups["target"])
+        assert set(partial) == set(model.groups["target"])
         for name in partial:
             assert np.array_equal(partial[name], full[name])
 
@@ -431,23 +431,23 @@ class TestBackward:
 class TestUpdateGroups:
     def test_target_group_excludes_source_tower(self):
         model = scaled_model("conet", 14)
-        group = model.update_group("target")
+        group = model.groups["target"]
         assert "Q_s" not in group and "W_s_0" not in group
         assert "P" in group and "H_0" in group
 
     def test_source_group_shares_coupling(self):
         model = scaled_model("conet", 14)
-        group = model.update_group("source")
+        group = model.groups["source"]
         assert "Q_t" not in group and "h_t" not in group
         assert "P" in group and "H_1" in group
 
     def test_unshared_mlppp_source_group_uses_own_embedding(self):
         model = scaled_model("mlp++", 15, unshared=True)
-        assert "P_src" in model.update_group("source")
-        assert "P" not in model.update_group("source")
+        assert "P_src" in model.groups["source"]
+        assert "P" not in model.groups["source"]
 
     def test_frozen_cross_drops_h_from_groups(self):
         model = scaled_model("conet", 16)
         freeze_cross_at_zero(model)
-        assert all(not n.startswith("H_") for n in model.update_group("target"))
+        assert all(not n.startswith("H_") for n in model.groups["target"])
         assert all(np.all(model.params[f"H_{k}"] == 0.0) for k in range(2))

@@ -43,7 +43,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
-            TrainConfig(**{field: value}).validate()
+            TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("change", [{"learning_rate": 0.0}, {"batch_size": 0},
                                         {"negative_ratio": -1}, {"epochs": -1}, {"patience": 0}])
