@@ -10,7 +10,9 @@ tree, each with BLAS pinned to one thread, it runs ``conet generate`` for
 the small data set of acceptance criterion 9, ``conet train`` and two
 ``conet evaluate`` runs for each of the five architectures (the default
 test partition, and the validation partition with uncut MRR and a top-5
-cutoff), ``conet sparsity-report`` on the sconet checkpoint and history,
+cutoff), a second sconet ``conet train`` that reads every setting from
+the first one's echoed ``config.txt`` (``--config``, with only ``--out``
+changed), ``conet sparsity-report`` on the sconet checkpoint and history,
 one five-arm ``conet compare --workers 2``, ``conet lambda-sweep
 --lambdas 0,0.1,1`` and ``conet reduce-study --levels 0,1,2``. Every run
 after ``generate`` reads the data the parent tree generated, so the two
@@ -71,6 +73,8 @@ def run_tree(tree: Path, data: Path, out: Path) -> None:
                               (f"evaluate-validation-{arch}", EVALUATE_VALIDATION)):
             conet(tree, "evaluate", "--checkpoint", run / "model.ckpt", "--split",
                   run / "split.json", *options, *inputs, "--out", out / name)
+    conet(tree, "train", "--config", out / "train-sconet" / "config.txt",
+          "--out", out / "rerun-sconet")
     conet(tree, "sparsity-report", "--checkpoint", out / "train-sconet" / "model.ckpt",
           "--history", out / "train-sconet" / "history.jsonl", "--out", out / "sparsity-report")
     conet(tree, "compare", "--archs", ",".join(ARCHS), "--workers", "2", *widths("compare"),

@@ -125,11 +125,7 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
     """Build a RunConfig from a flat key = value file plus overrides."""
     values = {}
     if path:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read config file {path}: {exc}") from exc
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(dataio.read_text(path, "config file").splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -232,7 +228,7 @@ def cmd_train(config: RunConfig, args, out_dir: Path) -> None:
 
     summary = {"architecture": config.architecture, "dataset": _dataset_name(config),
                "epochs_trained": len(stats)}
-    if stats and split.users.size:
+    if stats:
         best = max(stats, key=lambda st: st.val_ndcg)
         summary.update({
             "best_epoch": best.epoch,
@@ -244,7 +240,7 @@ def cmd_train(config: RunConfig, args, out_dir: Path) -> None:
     if stats:
         last = stats[-1]
         print(f"trained {len(stats)} epochs; "
-              f"best val NDCG {summary.get('val_ndcg', float('nan')):.4f}; "
+              f"best val NDCG {summary['val_ndcg']:.4f}; "
               f"final losses target={last.loss_target:.4f} source={last.loss_source:.4f}")
     else:
         print("trained 0 epochs (initialized model saved)")
@@ -294,10 +290,7 @@ def cmd_sparsity_report(config: RunConfig, args, out_dir: Path) -> None:
         record["per_matrix"] = studies.sparsity_table(model)
     if history_path:
         series = []
-        try:
-            lines = Path(history_path).read_text(encoding="utf-8").splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read history {history_path}: {exc}") from exc
+        lines = dataio.read_text(history_path, "history").splitlines()
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue

@@ -34,6 +34,7 @@ __all__ = [
     "LooSplit",
     "Batch",
     "SyntheticConfig",
+    "read_text",
     "load_interactions",
     "write_interactions",
     "write_atomic",
@@ -151,8 +152,8 @@ class LooSplit:
     ``users`` (shape ``(U,)``) lists the evaluated users ascending,
     ``test`` and ``validation`` (``(U,)``) hold each one's held-out target
     items, and ``eval_negatives`` (``(U, 99)``) the 99 target items it
-    never interacted with. The source domain is never split: all of it
-    stays in ``train``.
+    never interacted with; a split without users to rank raises DataError.
+    The source domain is never split: all of it stays in ``train``.
     """
 
     train: CrossDomainDataset
@@ -162,6 +163,8 @@ class LooSplit:
     eval_negatives: np.ndarray
 
     def __post_init__(self):
+        if not self.users.size:
+            raise DataError("split has no evaluated users to rank")
         for arr in (self.users, self.test, self.validation, self.eval_negatives):
             arr.flags.writeable = False
 
@@ -196,6 +199,14 @@ def _first_appearance(rows, user_ids, item_names) -> InteractionDataset:
                                          [item_names[k] for k in distinct[order].tolist()])
 
 
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of input ``path``, less any leading BOM; a failed read is a DataError."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_interactions(path, min_user_interactions: int = 3) -> InteractionDataset:
     """Load a tab-separated interaction log into a dense-index dataset.
 
@@ -208,20 +219,13 @@ def load_interactions(path, min_user_interactions: int = 3) -> InteractionDatase
     """
     per_user: dict = {}  # user -> its items' file-order codes, in order, once each
     codes: dict = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n").rstrip("\r")
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) < 2 or not parts[0] or not parts[1]:
-                    raise DataError(f"{path}: malformed line {lineno}: {line!r}")
-                per_user.setdefault(parts[0], {})[codes.setdefault(parts[1], len(codes))] = None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read interactions {path}: {exc}") from exc
+    for lineno, line in enumerate(read_text(path, "interactions").split("\n"), start=1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) < 2 or not parts[0] or not parts[1]:
+            raise DataError(f"{path}: malformed line {lineno}: {line!r}")
+        per_user.setdefault(parts[0], {})[codes.setdefault(parts[1], len(codes))] = None
     kept = [u for u, items in per_user.items() if len(items) >= min_user_interactions]
     if not kept:
         raise DataError(f"{path}: no interactions left after filtering")
@@ -533,9 +537,7 @@ def reduce_training(split: LooSplit, per_user_removal: int, rng: np.random.Gener
 
 def _json_block(open_, close, entries, depth) -> str:
     # ``entries`` laid out as ``json.dump(..., indent=1)`` lays out a
-    # container at nesting ``depth``: one entry per line, or empty brackets.
-    if not entries:
-        return open_ + close
+    # non-empty container at nesting ``depth``: one entry per line.
     pad = "\n" + " " * (depth + 1)
     return open_ + pad + ("," + pad).join(entries) + "\n" + " " * depth + close
 
@@ -580,6 +582,16 @@ def _int_matrix(rows: list, cols: int, what: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _unique_keys(pairs) -> dict:
+    # A JSON object as a dict; ``json.loads`` alone keeps the last of two equal keys.
+    entries = dict(pairs)
+    if len(entries) < len(pairs):
+        keys = sorted(key for key, _ in pairs)
+        repeated = next(a for a, b in zip(keys, keys[1:]) if a == b)
+        raise DataError(f"split manifest repeats the key {repeated!r}")
+    return entries
+
+
 def _reject_rows(bad: np.ndarray, users: np.ndarray, problem: str) -> None:
     rows = np.flatnonzero(bad.any(axis=1))
     if rows.size:
@@ -590,17 +602,14 @@ def load_split_manifest(data: CrossDomainDataset, path) -> LooSplit:
     """Rebuild a LooSplit from a manifest against the full dataset.
 
     The manifest is checked in full before anything is scored: every key
-    is present, the evaluated users are in range, each holds out two
-    distinct items it really interacted with, and each has exactly 99
-    distinct in-range negatives it never interacted with.
+    is present once, the evaluated users are canonical in-range indices,
+    each holds out two distinct items it really interacted with, and each
+    has exactly 99 distinct in-range negatives it never interacted with.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = json.loads(read_text(path, "split manifest"), object_pairs_hook=_unique_keys)
     except ValueError as exc:
         raise DataError(f"{path}: split manifest is not valid JSON ({exc})") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read split manifest {path}: {exc}") from exc
     missing = [key for key in _MANIFEST_KEYS if not isinstance(manifest, dict) or key not in manifest]
     if missing:
         raise DataError(f"{path}: split manifest lacks {', '.join(missing)}")
@@ -608,12 +617,14 @@ def load_split_manifest(data: CrossDomainDataset, path) -> LooSplit:
                       ("num_items_source", data.source.num_items)):
         if manifest[key] != size:
             raise DataError(f"split manifest {key} {manifest[key]!r} does not match the dataset")
+    partitions = [manifest[key] for key in ("test", "validation", "eval_negatives")]
     try:
-        test, validation, negatives = (
-            {int(u): v for u, v in manifest[key].items()}
-            for key in ("test", "validation", "eval_negatives"))
+        test, validation, negatives = ({int(u): v for u, v in p.items()} for p in partitions)
     except (AttributeError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: split manifest partitions must map user indices ({exc})") from exc
+    aliased = next((u for p in partitions for u in p if str(int(u)) != u), None)
+    if aliased is not None:
+        raise DataError(f"{path}: split manifest user key {aliased!r} is not written as an index")
     if set(test) != set(validation) or set(test) != set(negatives):
         raise DataError("split manifest partitions cover different users")
     users = np.asarray(sorted(test), dtype=np.int64)

@@ -126,8 +126,6 @@ def evaluate(scorer: Scorer, split: LooSplit, partition: str = "test",
     if partition not in ("test", "validation"):
         raise ConfigError(f"unknown partition {partition!r}")
     users = split.users
-    if not users.size:
-        raise DataError("split has no evaluated users")
     candidates = np.column_stack([getattr(split, partition), split.eval_negatives])
     try:
         scores = np.asarray(scorer.score_items(users, candidates), dtype=np.float64)

@@ -106,14 +106,12 @@ class Adam:
     buffer sized to the largest tensor, so memory stays flat.
     """
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
-                 epsilon: float = 1e-8):
+    beta1, beta2, epsilon = 0.9, 0.999, 1e-8
+
+    def __init__(self, learning_rate: float):
         if learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.slots: dict = {}
         self._scratch = np.empty(0)
 
@@ -189,7 +187,7 @@ class EpochStats:
 
     @classmethod
     def from_json_line(cls, line: str) -> "EpochStats":
-        """One ``history.jsonl`` record; losses and metrics may be NaN (no evaluated users)."""
+        """One ``history.jsonl`` record; its losses and metrics may be any float, NaN included."""
         try:
             stats = cls(**json.loads(line))
         except (ValueError, TypeError) as exc:
@@ -348,9 +346,6 @@ class Trainer:
         )
 
     def _validation_metrics(self):
-        if not self.split.users.size:
-            return evaluation.MetricsReport(hr=math.nan, ndcg=math.nan, mrr=math.nan,
-                                            users=[], positions=[], top_n=10)
         scorer = make_scorer(self.model, self.split)
         return evaluation.evaluate(scorer, self.split, partition="validation")
 
@@ -358,17 +353,17 @@ class Trainer:
         """Run up to ``epochs`` epochs with early stopping on validation NDCG.
 
         Leaves the model at the best-validation parameters and returns the
-        per-epoch stats. Without evaluable users the final parameters win.
+        per-epoch stats.
         """
         cfg = self.config
-        best = {k: v.copy() for k, v in self.model.params.items()}
+        best = dict(self.model.params)  # the first epoch always replaces these
         best_ndcg = -math.inf
         bad = 0
         stats = []
         for _ in range(cfg.epochs):
             st = self.train_epoch()
             stats.append(st)
-            if math.isnan(st.val_ndcg) or st.val_ndcg > best_ndcg:
+            if st.val_ndcg > best_ndcg:
                 best_ndcg = st.val_ndcg
                 best = {k: v.copy() for k, v in self.model.params.items()}
                 bad = 0

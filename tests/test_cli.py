@@ -19,7 +19,7 @@ from conet.cli import RunConfig, load_run_config, main
 from conet.data import SyntheticConfig
 from conet.errors import ConfigError
 from conet.models import DomainSizes, Model, ModelConfig
-from conet.training import TrainConfig
+from conet.training import TrainConfig, Trainer
 
 
 GEN_FLAGS = [
@@ -151,21 +151,27 @@ class TestTrain:
     def test_checkpoint_does_not_depend_on_blas_threads(self, tmp_path):
         # Default-sized data, so that OpenBLAS splits the larger products
         # over its threads; each run pins its thread count before numpy loads.
+        # The other artifacts of the run and of an evaluation of it must match too.
         data = tmp_path / "data"
         assert main(["generate", "--seed", "1", "--out", str(data)]) == 0
         src = str(Path(conet.__file__).resolve().parents[1])
-        checkpoints = []
+        inputs = ["--target", str(data / "target.tsv"), "--source", str(data / "source.tsv")]
+        names = ("model.ckpt", "history.jsonl", "split.json", "summary.json", "eval/metrics.json")
+        artifacts = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                        MKL_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
             out = tmp_path / f"threads-{threads}"
-            subprocess.run([sys.executable, "-m", "conet.cli", "train", "--architecture", "sconet",
-                            "--epochs", "1", "--target", str(data / "target.tsv"),
-                            "--source", str(data / "source.tsv"), "--out", str(out)],
-                           env=env, capture_output=True, timeout=600, check=True)
-            checkpoints.append((out / "model.ckpt").read_bytes())
-        assert checkpoints[0] == checkpoints[1]
+            for argv in (["train", "--architecture", "sconet", "--epochs", "1", *inputs,
+                          "--out", str(out)],
+                         ["evaluate", "--checkpoint", str(out / "model.ckpt"),
+                          "--split", str(out / "split.json"), *inputs, "--out", str(out / "eval")]):
+                subprocess.run([sys.executable, "-m", "conet.cli", *argv],
+                               env=env, capture_output=True, timeout=600, check=True)
+            artifacts.append({name: (out / name).read_bytes() for name in names})
+        for name in names:
+            assert artifacts[0][name] == artifacts[1][name], name
 
     def test_mlp_warns_source_ignored(self, tmp_path, capsys):
         data = generate(tmp_path)
@@ -352,6 +358,20 @@ class TestStudies:
         ratios = [row["details"]["mean_zero_ratio"] for row in study["rows"]]
         assert ratios[0] < 0.01 and ratios[1] > 0.5
 
+    def test_workers_do_not_change_study_json(self, tmp_path):
+        # The data and training settings of acceptance criterion 9.
+        data = generate(tmp_path, seed=3)
+        studies = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers-{workers}"
+            assert main(["compare", "--archs", "mlp,mlp++,csn,conet,sconet", "--workers", workers,
+                         "--embedding-dim", "4", "--hidden-widths", "8,8,8", "--epochs", "3",
+                         "--batch-size", "32", "--seed", "11",
+                         "--target", str(data / "target.tsv"), "--source", str(data / "source.tsv"),
+                         "--out", str(out)]) == 0
+            studies.append((out / "study.json").read_bytes())
+        assert studies[0] == studies[1]
+
 
 class TestSparsityReport:
     def test_table_from_checkpoint_and_history(self, tmp_path):
@@ -480,6 +500,43 @@ class TestMalformedInput:
         code = main(["generate", "--config", str(config), "--out", str(tmp_path / "o")])
         self.assert_one_line_error(capsys, code, 3)
 
+    @pytest.mark.parametrize("verb", ["train", "compare", "lambda-sweep", "reduce-study"])
+    def test_no_user_to_rank_is_data_error_at_set_up(self, tmp_path, capsys, monkeypatch,
+                                                     unrankable, verb):
+        fits = []
+        fit = Trainer.fit
+        monkeypatch.setattr(Trainer, "fit", lambda trainer: fits.append(1) or fit(trainer))
+        lists = {"compare": ["--archs", "mlp"], "lambda-sweep": ["--lambdas", "0"],
+                 "reduce-study": ["--levels", "0"]}
+        out = tmp_path / "o"
+        code = main([verb, *lists.get(verb, []), *NET_FLAGS, *FAST_FLAGS, *unrankable,
+                     "--out", str(out)])
+        self.assert_one_line_error(capsys, code, 3)
+        assert fits == [] and not (out / "history.jsonl").exists()
+
+    def test_manifest_without_users_is_data_error(self, tmp_path, capsys, frozen_run):
+        data, run = frozen_run
+        manifest = json.loads((run / "split.json").read_text())
+        manifest.update(test={}, validation={}, eval_negatives={})
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code, out = train(tmp_path, data, extra=["--split", str(empty)])
+        self.assert_one_line_error(capsys, code, 3)
+        assert not (out / "history.jsonl").exists()
+
+    @pytest.mark.parametrize("key", ["test", "validation", "eval_negatives"])
+    def test_repeated_manifest_user_is_data_error(self, tmp_path, capsys, frozen_run, key):
+        data, run = frozen_run
+        text = (run / "split.json").read_text()
+        user, value = next(iter(json.loads(text)[key].items()))
+        # The same entry twice, which json.dumps cannot write.
+        entry = f'"{key}": {{\n  "{user}": {json.dumps(value)},'
+        (tmp_path / "split.json").write_text(text.replace(f'"{key}": {{', entry, 1))
+        capsys.readouterr()
+        code = self.evaluate(tmp_path, data, tmp_path, checkpoint=run / "model.ckpt")
+        self.assert_one_line_error(capsys, code, 3)
+
     @pytest.mark.parametrize("top_n", ["0", "-5"])
     def test_non_positive_top_n_is_config_error(self, tmp_path, capsys, frozen_run, top_n):
         data, run = frozen_run
@@ -578,6 +635,49 @@ class TestMalformedInput:
 
 
 @pytest.fixture(scope="module")
+def unrankable(tmp_path_factory):
+    """Input flags for 30 users that all stay, none with the 3 target interactions a split ranks."""
+    root = tmp_path_factory.mktemp("unrankable")
+    for name, items in (("target", 40), ("source", 20)):
+        (root / f"{name}.tsv").write_text("".join(f"u{u}\t{name[0]}{(3 * u + k) % items}\n"
+                                                  for u in range(30) for k in (0, 1)))
+    return ["--target", str(root / "target.tsv"), "--source", str(root / "source.tsv"),
+            "--min-user-interactions", "1"]
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as Windows editors write, is not part of the text."""
+
+    def test_config_file(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(BOM + b"epochs = 7\r\nseed = 2\r\n")
+        assert load_run_config(config) == load_run_config(overrides={"epochs": "7", "seed": "2"})
+
+    def test_split_manifest(self, tmp_path, frozen_run):
+        data, run = frozen_run
+        (tmp_path / "split.json").write_bytes(BOM + (run / "split.json").read_bytes())
+        metrics = []
+        for split in (run / "split.json", tmp_path / "split.json"):
+            out = tmp_path / f"eval-{len(metrics)}"
+            assert main(["evaluate", "--checkpoint", str(run / "model.ckpt"),
+                         "--target", str(data / "target.tsv"), "--source", str(data / "source.tsv"),
+                         "--split", str(split), "--out", str(out)]) == 0
+            metrics.append((out / "metrics.json").read_bytes())
+        assert metrics[0] == metrics[1]
+
+    def test_history(self, tmp_path):
+        history = tmp_path / "history.jsonl"
+        history.write_bytes(BOM + json.dumps(TestMalformedInput.HISTORY_RECORD).encode() + b"\n")
+        assert main(["sparsity-report", "--history", str(history),
+                     "--out", str(tmp_path / "sp")]) == 0
+        record = json.loads((tmp_path / "sp" / "sparsity.json").read_text())
+        assert record["per_epoch"] == [{"epoch": 1, "h_zero_ratios": [0.5]}]
+
+
+@pytest.fixture(scope="module")
 def frozen_run(tmp_path_factory):
     """Generated data, an untrained checkpoint and its valid split manifest."""
     tmp_path = tmp_path_factory.mktemp("frozen")
@@ -622,7 +722,7 @@ NON_INTEGERS = st.one_of(
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(kind=st.sampled_from(["drop_key", "sentinel", "repeat", "interacted", "out_of_range",
-                             "non_integer", "never_held"]),
+                             "non_integer", "never_held", "aliased_user"]),
        pick=st.integers(0, 10 ** 6), junk=NON_INTEGERS)
 def test_mutated_manifest_exits_3(frozen_run, kind, pick, junk):
     """Any one corruption of a valid split.json is a data error, never a traceback."""
@@ -645,6 +745,10 @@ def test_mutated_manifest_exits_3(frozen_run, kind, pick, junk):
     elif kind == "non_integer":
         target = (negatives, manifest["test"], manifest["validation"])[pick % 3]
         target[slot if target is negatives else user] = junk
+    elif kind == "aliased_user":  # a key int() reads as the user, but not as written
+        partition = manifest[MANIFEST_KEYS[3 + pick % 3]]
+        partition[("0{}", " {}", "{} ", "+{}", "{}\n")[pick // 3 % 5].format(user)] = (
+            partition.pop(user))
     else:  # a held-out item the user never had: one of its negatives
         manifest[("test", "validation")[pick % 2]][user] = negatives[slot]
     mutated = run / "mutated.json"

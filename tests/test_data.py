@@ -104,6 +104,18 @@ class TestLoadInteractions:
         with pytest.raises(DataError, match="t.tsv"):
             load_interactions(path, min_user_interactions=1)
 
+    @pytest.mark.parametrize("minimum", [1, 3])
+    def test_leading_byte_order_mark_is_not_text(self, tmp_path, minimum):
+        # Windows editors start a UTF-8 file with a BOM and end lines with CRLF.
+        text = "a\tx\r\na\ty\r\na\tz\r\nb\tx\r\nb\ty\r\nb\tw\r\n".encode("utf-8")
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        a, b = load_interactions(plain, minimum), load_interactions(marked, minimum)
+        assert a.user_ids == b.user_ids == ("a", "b")
+        assert a.item_ids == b.item_ids == ("x", "y", "z", "w")
+        assert np.array_equal(a.keys, b.keys)
+
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("a\tx\nbroken-line\n")
@@ -476,7 +488,8 @@ class TestSplitManifest:
         "sentinel_negative", "duplicate_negative", "missing_test_key",
         "negative_out_of_range", "float_negative", "short_negatives",
         "user_out_of_range", "same_item_held_twice", "held_item_not_interacted",
-        "interacted_negative", "not_json",
+        "interacted_negative", "not_json", "no_users", "zero_padded_user", "spaced_user",
+        "repeated_user",
     ])
     def test_rejects_malformed_manifest(self, tmp_path, case):
         data = small_cross_domain()
@@ -508,7 +521,15 @@ class TestSplitManifest:
             manifest["test"][user] = negs[0]
         elif case == "interacted_negative":
             negs[0] = held
+        elif case == "no_users":
+            for key in ("test", "validation", "eval_negatives"):
+                manifest[key] = {}
+        elif case in ("zero_padded_user", "spaced_user"):
+            alias = "0" + user if case == "zero_padded_user" else f" {user}"
+            manifest["validation"][alias] = manifest["validation"].pop(user)
         text = json.dumps(manifest) if case != "not_json" else "{not json"
+        if case == "repeated_user":  # json.dumps cannot repeat a key
+            text = text.replace('"test": {', f'"test": {{"{user}": {held}, ', 1)
         path.write_text(text)
         with pytest.raises(DataError):
             load_split_manifest(data, path)
@@ -540,13 +561,9 @@ class TestSplitAgainstReferences:
         save_split_manifest(split, path)
         assert path.read_bytes() == reference_manifest_text(split).encode("utf-8")
 
-    def test_no_evaluated_users(self, tmp_path):
+    def test_no_evaluated_users(self):
+        # A split with no user to rank could give no metric; it is refused.
         data = CrossDomainDataset(target=make_dataset([[0, 1], [2]], 120),
                                   source=make_dataset([[0], [1]], 5))
-        split = loo_split(data, derive_rng(0, "split"))
-        assert split.users.size == 0 and split.eval_negatives.shape == (0, 99)
-        path = tmp_path / "split.json"
-        save_split_manifest(split, path)
-        text = path.read_text(encoding="utf-8")
-        assert text == reference_manifest_text(split)
-        assert '"test": {}' in text and '"eval_negatives": {}' in text
+        with pytest.raises(DataError, match="no evaluated users"):
+            loo_split(data, derive_rng(0, "split"))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conet.data import CrossDomainDataset, loo_split
-from conet.errors import ConfigError, NumericError
+from conet.errors import ConfigError, DataError, NumericError
 from conet.models import DomainSizes, ModelConfig, build_model, lasso_penalty
 from conet.numerics import derive_rng, sigmoid
 from conet.training import (
@@ -132,7 +132,7 @@ class TestAdam:
     def test_matches_hand_computed_update_sequence(self):
         # two steps on one parameter, checked against the textbook formulas
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        opt = Adam(lr, b1, b2, eps)
+        opt = Adam(lr)
         params = {"w": np.array([0.5])}
         m = v = 0.0
         w = 0.5
@@ -179,7 +179,7 @@ class TestAdam:
                   "W_t_0": (64, 64), "b_t_0": (64,), "W_s_0": (64, 64), "H_0": (32, 64)}
         params = {n: rng.normal(scale=0.1, size=shape) for n, shape in shapes.items()}
         expected = {n: v.copy() for n, v in params.items()}
-        opt = Adam(lr, b1, b2, eps)
+        opt = Adam(lr)
         state = {}
         for step in range(120):
             side = "t" if step % 2 == 0 else "s"
@@ -389,14 +389,12 @@ class TestTrainer:
         with pytest.raises(NumericError):
             trainer.train_epoch()
 
-    def test_empty_validation_gives_nan_metrics(self, split):
+    def test_empty_validation_is_refused(self, split):
+        # No split without users to rank reaches the trainer.
         none = np.empty(0, dtype=np.int64)
-        unevaluated = dataclasses.replace(split, users=none, test=none, validation=none,
-                                          eval_negatives=np.empty((0, 99), dtype=np.int64))
-        model = small_model(sizes=sizes_of(split))
-        stats = Trainer(model, unevaluated,
-                        TrainConfig(epochs=1, batch_size=16, seed=0)).train_epoch()
-        assert math.isnan(stats.val_ndcg) and math.isnan(stats.val_hr)
+        with pytest.raises(DataError, match="no evaluated users"):
+            dataclasses.replace(split, users=none, test=none, validation=none,
+                                eval_negatives=np.empty((0, 99), dtype=np.int64))
 
     def test_epoch_stats_json_round_trip(self, split):
         model = small_model(sizes=sizes_of(split))
