@@ -13,10 +13,10 @@ Layout (all integers little-endian):
   ``f64`` data
 
 Vectors (bias, output weight and stitch-scalar tensors, names starting
-with ``b_``, ``h`` or ``alpha_``) are stored as a single row and restored
-to 1-D on load. A file that parses but does not describe a valid model
-(unknown architecture, missing, extra, misshapen or non-finite tensors)
-is reported as a data error, like a truncated one.
+with ``b_``, ``h`` or ``alpha_``) are stored as one row and restored to
+1-D on load. A file that parses but does not hold a valid model (unknown
+architecture; missing, extra, misshapen or non-finite tensors; a vector
+not stored as one row) is a data error, like a truncated one.
 """
 
 from __future__ import annotations
@@ -110,8 +110,9 @@ def load_checkpoint(path):
             raise DataError(f"checkpoint stores tensor {name} twice")
         if not np.all(np.isfinite(data)):
             raise DataError(f"checkpoint tensor {name} has non-finite values")
-        arr = data.reshape(rows, cols)
-        params[name] = arr.ravel().copy() if _is_vector_name(name) else arr.copy()
+        if _is_vector_name(name) and rows != 1:
+            raise DataError(f"checkpoint vector {name} is stored as {rows}x{cols}, not one row")
+        params[name] = data if _is_vector_name(name) else data.reshape(rows, cols)
     if pos != len(buf):
         raise DataError("checkpoint has trailing bytes")
 

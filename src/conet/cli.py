@@ -5,8 +5,8 @@ lambda-sweep. One runner serves them all: it reads an optional flat
 ``key = value`` config file, applies flag overrides, resolves the output
 directory (relative to ``CONET_OUTPUT_ROOT`` when set), runs the verb and
 echoes the fully resolved config next to its outputs. Exit codes: 0
-success, 2 configuration error or an output that cannot be written, 3
-data error, 4 numeric divergence, 130 interrupted.
+success, 2 configuration error, out of memory or an output that cannot be
+written, 3 data error, 4 numeric divergence, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class RunConfig:
     that config's class, and :meth:`base_model_config`, :meth:`train_config`
     and :meth:`synthetic_config` build the library configs from the fields
     of the same names; the synthetic sizes drop the generator's ``num_``
-    prefix. The library configs check the values when they are built.
+    prefix. Each config, this one included, checks its values when built.
     """
 
     architecture: str = "sconet"
@@ -67,6 +67,11 @@ class RunConfig:
     top_n: int = 10
     mrr_uncut: bool = False
     out: str = ""
+
+    def __post_init__(self):
+        for name in ("workers", "min_user_interactions"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def _build(self, cls, **values):
         """A ``cls`` config from this run's fields of the same names, then ``values``."""
@@ -188,23 +193,18 @@ def cmd_generate(config: RunConfig, args, out_dir: Path) -> None:
     data = dataio.generate_synthetic(syn)
     dataio.write_interactions(data.target, out_dir / "target.tsv")
     dataio.write_interactions(data.source, out_dir / "source.tsv")
+
+    def domain(dataset, requested_density):
+        return {"requested_density": requested_density, "actual_density": dataset.density,
+                "num_items": dataset.num_items, "num_interactions": dataset.num_interactions}
+
     manifest = {
         "seed": syn.seed,
         "relatedness": syn.relatedness,
         "latent_dim": syn.latent_dim,
         "num_users": data.num_users,
-        "target": {
-            "requested_density": syn.target_density,
-            "actual_density": data.target.density,
-            "num_items": data.target.num_items,
-            "num_interactions": data.target.num_interactions,
-        },
-        "source": {
-            "requested_density": syn.source_density,
-            "actual_density": data.source.density,
-            "num_items": data.source.num_items,
-            "num_interactions": data.source.num_interactions,
-        },
+        "target": domain(data.target, syn.target_density),
+        "source": domain(data.source, syn.source_density),
     }
     write_json(out_dir / "manifest.json", manifest)
     print(f"wrote {out_dir / 'target.tsv'}, {out_dir / 'source.tsv'}")
@@ -394,6 +394,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         # Inputs are read behind DataError, so what is left is a failed write.
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return ConfigError.exit_code
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

@@ -360,10 +360,6 @@ def epoch_batches(
     ``(u, j)`` with ``j`` uniform over the items ``u`` never interacted
     with in this dataset. Negatives are resampled every epoch.
     """
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
-    if negative_ratio < 0:
-        raise ConfigError("negative_ratio must be >= 0")
     pairs = dataset.pairs()
     if pairs.shape[0] == 0:
         raise DataError(f"{domain} domain has no training interactions")
@@ -434,24 +430,15 @@ class SyntheticConfig:
                 )
 
 
-def _top_items_per_user(scores: np.ndarray, per_user: int) -> list:
-    chosen = []
-    for u in range(scores.shape[0]):
-        top = np.argpartition(-scores[u], per_user - 1)[:per_user]
-        chosen.append(set(int(i) for i in top))
-    return chosen
-
-
-def _force_full_coverage(chosen: list, scores: np.ndarray) -> None:
-    # Items nobody picked are swapped into their best-scoring user's set in
-    # place of that user's lowest-scoring item that other users still hold,
-    # so the item universe survives a TSV round trip while per-user counts
-    # and the overall density stay put.
+def _force_full_coverage(top: np.ndarray, scores: np.ndarray) -> list:
+    # Each user's item set, grown from its row of ``top``. Items nobody
+    # picked are swapped into their best-scoring user's set in place of that
+    # user's lowest-scoring item that other users still hold, so the item
+    # universe survives a TSV round trip while per-user counts and the
+    # overall density stay put.
     n_items = scores.shape[1]
-    holders = np.zeros(n_items, dtype=np.int64)
-    for s in chosen:
-        for j in s:
-            holders[j] += 1
+    chosen = [set(row) for row in top.tolist()]
+    holders = np.bincount(top.ravel(), minlength=n_items)
     for j in range(n_items):
         if holders[j] > 0:
             continue
@@ -470,6 +457,7 @@ def _force_full_coverage(chosen: list, scores: np.ndarray) -> None:
             u = int(candidates[0])
         chosen[u].add(j)
         holders[j] += 1
+    return chosen
 
 
 def generate_synthetic(config: SyntheticConfig) -> CrossDomainDataset:
@@ -492,8 +480,8 @@ def generate_synthetic(config: SyntheticConfig) -> CrossDomainDataset:
         item_rng = derive_rng(config.seed, "synthetic-items", n_items, count)
         item_factors = item_rng.standard_normal((n_items, k))
         scores = domain_users @ item_factors.T
-        chosen = _top_items_per_user(scores, count)
-        _force_full_coverage(chosen, scores)
+        top = np.argpartition(-scores, count - 1, axis=1)[:, :count]
+        chosen = _force_full_coverage(top, scores)
         # Items renumbered in the order load_interactions gives after a write.
         return _first_appearance([sorted(items) for items in chosen], [f"u{u}" for u in range(m)],
                                  [f"{prefix}{old}" for old in range(n_items)])

@@ -118,8 +118,6 @@ class DomainSizes:
 
 def lasso_penalty(h_matrices, lam: float) -> float:
     """L1 penalty ``lam * sum |h_ij|`` over all transfer matrices."""
-    if lam < 0:
-        raise ConfigError("lasso penalty weight must be >= 0")
     if lam == 0.0:
         return 0.0
     return lam * float(sum(np.abs(h).sum() for h in h_matrices))
@@ -453,8 +451,6 @@ class Model:
             d_a = self._couple_backward(k, [acts[i] for i in live], d_pre, d_in, grads, want)
 
         for i, t, g in zip(live, towers, d_pre):
-            if t.user not in want and t.items not in want:
-                continue
             d_x = g @ p[t.weights[0]]
             if t.user in want:
                 np.add.at(grads[t.user], trace.users, d_x[:, :d])

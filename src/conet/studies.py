@@ -138,8 +138,6 @@ def compare_architectures(split: LooSplit, archs, base_config: ModelConfig,
     paired t-test of per-user NDCG contributions against the baseline arm
     (``mlp`` when present, else the first arch).
     """
-    if len(archs) < 1:
-        raise ConfigError("compare needs at least one architecture")
     configs = [model_config_for(arch, base_config) for arch in archs]
     if baseline is None:
         baseline = "mlp" if "mlp" in archs else archs[0]
@@ -164,8 +162,6 @@ def compare_architectures(split: LooSplit, archs, base_config: ModelConfig,
 def lambda_sweep(split: LooSplit, lambdas, base_config: ModelConfig,
                  train_config: TrainConfig, workers: int = 1) -> StudyReport:
     """Train the cross-connection model once per penalty weight."""
-    if len(lambdas) < 1:
-        raise ConfigError("lambda sweep needs at least one value")
     arms = [(replace(base_config, architecture="conet", lasso_lambda=float(lam)), split)
             for lam in lambdas]
     rows = [

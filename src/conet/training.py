@@ -155,8 +155,6 @@ class Adam:
 
 def proximal_l1(h: np.ndarray, threshold: float) -> np.ndarray:
     """Soft-threshold every entry: sign(h) * max(|h| - threshold, 0)."""
-    if threshold < 0:
-        raise ConfigError("proximal threshold must be >= 0")
     return np.sign(h) * np.maximum(np.abs(h) - threshold, 0.0)
 
 

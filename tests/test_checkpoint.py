@@ -110,11 +110,16 @@ def _corrupt(model, case):
         params["W_t_1"] = np.zeros((3, 3))
     elif case == "non_finite":
         params["H_0"] = np.full_like(params["H_0"], np.inf)
+    elif case == "vector_as_column":
+        params["b_t_0"] = params["b_t_0"].reshape(-1, 1)
+    elif case == "vector_in_two_rows":
+        params["b_t_0"] = params["b_t_0"].reshape(2, -1)
     return SimpleNamespace(config=config, params=params)
 
 
 @pytest.mark.parametrize("case", ["unknown_architecture", "missing_tensor", "extra_tensor",
-                                  "wrong_shape", "non_finite"])
+                                  "wrong_shape", "non_finite", "vector_as_column",
+                                  "vector_in_two_rows"])
 def test_corrupt_content_is_data_error(case, tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(_corrupt(build("conet"), case), path)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -99,6 +100,12 @@ class TestRunConfig:
     def test_value_takes_the_type_of_its_default(self, key, raw, value):
         got = getattr(load_run_config(overrides={key: raw}), key)
         assert got == value and type(got) is type(value)
+
+    @pytest.mark.parametrize("key", ["workers", "min_user_interactions"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_run_setting_below_one_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: value})
 
 
 class TestGenerate:
@@ -440,6 +447,43 @@ class TestMalformedInput:
                      "--target", str(data / "target.tsv"), "--source", str(data / "source.tsv"),
                      "--out", str(tmp_path / "o")])
         self.assert_one_line_error(capsys, code, 2)
+
+    @pytest.mark.parametrize("verb,flag,value", [("train", "--workers", "-3"),
+                                                 ("compare", "--workers", "0"),
+                                                 ("train", "--min-user-interactions", "-4")])
+    def test_run_setting_below_one_is_config_error(self, tmp_path, capsys, frozen_run, verb,
+                                                   flag, value):
+        data, _ = frozen_run
+        capsys.readouterr()
+        out = tmp_path / "o"
+        arms = ["--archs", "mlp,conet"] if verb == "compare" else []
+        code = main([verb, f"{flag}={value}", *arms, *NET_FLAGS, *FAST_FLAGS,
+                     "--target", str(data / "target.tsv"), "--source", str(data / "source.tsv"),
+                     "--out", str(out)])
+        self.assert_one_line_error(capsys, code, 2)
+        assert not (out / "history.jsonl").exists() and not (out / "study.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--embedding-dim", "200000000", "--hidden-widths", "400000000"],
+        ["train", "--negative-ratio", "1000000000"],
+        ["generate", "--users", "100000000"],
+    ], ids=["embedding-tables", "negatives", "generated-users"])
+    def test_out_of_memory_is_one_line_and_exit_2(self, tmp_path, frozen_run, argv):
+        # Each run asks for 6 to 715 GiB. The child may address 3 GiB, so
+        # the allocation fails at once; the limit binds the child alone.
+        data, _ = frozen_run
+        inputs = ["--target", str(data / "target.tsv"), "--source", str(data / "source.tsv")]
+        src = str(Path(conet.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run(
+            [sys.executable, "-m", "conet.cli", *argv, *(inputs if argv[0] == "train" else []),
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)))
+        assert done.returncode == 2
+        err = done.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory: ")
 
     @pytest.mark.parametrize("rate", ["1e300", "1e30"])
     def test_divergence_is_one_line_and_exit_4(self, tmp_path, capfd, rate):
@@ -814,10 +858,10 @@ def test_mutated_checkpoint_exits_2_or_3(frozen_run, kind, pick, mask, bad):
         if kind == "drop":
             del params[name]
         elif kind == "reshape":
-            matrices = [n for n in names if params[n].ndim == 2]
-            name = matrices[pick % len(matrices)]
-            rows, cols = params[name].shape
-            params[name] = params[name].reshape((cols, rows) if rows != cols else (1, -1))
+            # A matrix transposed (flattened when square), or a vector stored as a column.
+            shape = params[name].shape
+            params[name] = params[name].reshape(
+                (-1, 1) if len(shape) == 1 else shape[::-1] if shape[0] != shape[1] else (1, -1))
         else:
             params[name] = params[name].copy()
             params[name].flat[pick % params[name].size] = bad

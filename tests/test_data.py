@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -398,6 +399,25 @@ class TestGenerateSynthetic:
             SyntheticConfig(**change)
         with pytest.raises(ConfigError):
             dataclasses.replace(SyntheticConfig(), **change)
+
+    # sha256 of the keys and ids of the default-sized data sets that
+    # acceptance criteria 4, 5, 7 and 8 train on, recorded when the generator
+    # still picked and counted items one user at a time: a rewrite of the
+    # generator must not move the acceptance studies' data.
+    @pytest.mark.parametrize("seed,digest", enumerate([
+        "765aad9d395afba8990f5c09b2fa22d68f11e379e5716512a305a81982b6f7c7",
+        "52225416c995671ddadd018f7e7940ad772b2a6a086cbae19105d684de283c6d",
+        "d27872080c1d06a30d87f57d5bd053c317981c2e4ff315f5385c8a495fcd7485",
+        "6881135eb862f61a4e52db4e24bbc976e8edbe3f1a5a301fef96751769591d04",
+        "63c0d1f737ed2e725dec2b8759a1e7bfd47f4650af88146c9f1ef67910d0b0fe",
+    ]))
+    def test_default_data_match_the_pinned_digest(self, seed, digest):
+        data = generate_synthetic(SyntheticConfig(seed=seed))
+        h = hashlib.sha256()
+        for domain in (data.target, data.source):
+            h.update(domain.keys.astype("<i8").tobytes())
+            h.update("\n".join(domain.user_ids + domain.item_ids).encode())
+        assert h.hexdigest() == digest
 
 
 class TestWriteAtomic:
