@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -185,18 +187,18 @@ class Batch:
 # Ingestion
 
 
-def _first_appearance(rows, user_ids, item_names) -> InteractionDataset:
-    # ``rows`` holds each user's integer item keys; items get dense indices
-    # in order of first appearance over the rows walked user-major, and
-    # item key ``k`` keeps ``item_names[k]`` as its external id.
-    users = np.repeat(np.arange(len(rows), dtype=np.int64), [len(r) for r in rows])
-    keys = np.concatenate(rows).astype(np.int64, copy=False)
+def _first_appearance(users, keys, user_ids, item_names) -> InteractionDataset:
+    # ``users[k]`` holds the integer item key ``keys[k]``, pairs listed
+    # user-major; items get dense indices in order of first appearance
+    # over that listing, and item key ``k`` keeps ``item_names[k]`` as its
+    # external id.
     distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     index = np.empty_like(order)
     index[order] = np.arange(order.size)
-    return InteractionDataset.from_pairs(len(rows), order.size, users, index[inverse], user_ids,
-                                         [item_names[k] for k in distinct[order].tolist()])
+    names = [item_names[k] for k in distinct[order].tolist()]
+    return InteractionDataset.from_pairs(len(user_ids), order.size, users, index[inverse],
+                                         user_ids, names)
 
 
 def read_text(path, what: str) -> str:
@@ -205,6 +207,35 @@ def read_text(path, what: str) -> str:
         return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+# A line with a second tab: its third and later columns are ignored.
+_EXTRA_COLUMN = re.compile(r"\t[^\n]*\t")
+
+
+def _columns(text: str, path) -> tuple:
+    # The user and item fields of each interaction line. A plain file
+    # (every line one non-empty user, a tab, one non-empty item, and no
+    # comment) splits in one pass over the whole text; any other goes
+    # line by line first.
+    body = text[:-1] if text.endswith("\n") else text
+    tokens = body.replace("\n", "\t").split("\t")
+    if (len(tokens) != 2 * (body.count("\n") + 1) or "" in tokens
+            or body.startswith("#") or "\n#" in body or _EXTRA_COLUMN.search(body)):
+        tokens = []
+        for lineno, line in enumerate(body.split("\n"), start=1):
+            if line and not line.startswith("#"):
+                parts = line.split("\t")
+                if len(parts) < 2 or not parts[0] or not parts[1]:
+                    raise DataError(f"{path}: malformed line {lineno}: {line!r}")
+                tokens += parts[:2]
+    return tokens[0::2], tokens[1::2]
+
+
+def _codes(names: list) -> tuple:
+    # Each name's code, numbered by first appearance, and the names by code.
+    index = {name: k for k, name in enumerate(dict.fromkeys(names))}
+    return np.fromiter(map(index.__getitem__, names), np.int64, len(names)), list(index)
 
 
 def load_interactions(path, min_user_interactions: int = 3) -> InteractionDataset:
@@ -217,19 +248,22 @@ def load_interactions(path, min_user_interactions: int = 3) -> InteractionDatase
     the surviving users and items get dense indices in first-appearance
     order.
     """
-    per_user: dict = {}  # user -> its items' file-order codes, in order, once each
-    codes: dict = {}
-    for lineno, line in enumerate(read_text(path, "interactions").split("\n"), start=1):
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) < 2 or not parts[0] or not parts[1]:
-            raise DataError(f"{path}: malformed line {lineno}: {line!r}")
-        per_user.setdefault(parts[0], {})[codes.setdefault(parts[1], len(codes))] = None
-    kept = [u for u, items in per_user.items() if len(items) >= min_user_interactions]
-    if not kept:
+    user_names, item_names = _columns(read_text(path, "interactions"), path)
+    users, user_ids = _codes(user_names)
+    items, item_ids = _codes(item_names)
+    # Each distinct pair once, at its first line, in file order.
+    first = np.unique(users * len(item_ids) + items, return_index=True)[1]
+    first.sort()
+    users, items = users[first], items[first]
+    kept = np.bincount(users, minlength=len(user_ids)) >= min_user_interactions
+    if not kept.any():
         raise DataError(f"{path}: no interactions left after filtering")
-    return _first_appearance([list(per_user[u]) for u in kept], kept, list(codes))
+    # Surviving users in first-appearance order, each with its items in file order.
+    rows = np.flatnonzero(kept[users])
+    rows = rows[np.argsort(users[rows], kind="stable")]
+    dense = np.cumsum(kept) - 1
+    return _first_appearance(dense[users[rows]], items[rows],
+                             [user_ids[u] for u in np.flatnonzero(kept).tolist()], item_ids)
 
 
 def write_interactions(dataset: InteractionDataset, path) -> None:
@@ -275,7 +309,13 @@ def align_domains(target: InteractionDataset, source: InteractionDataset) -> Cro
         raise DataError("no users shared between the two domains")
 
     def rebuild(ds, users_old):
-        return _first_appearance([ds.items_of(u) for u in users_old], shared, ds.item_ids)
+        # The CSR rows of ``users_old``, in that order, gathered by index arrays.
+        users_old = np.asarray(users_old, dtype=np.int64)
+        starts, counts = ds.indptr[users_old], ds.degrees[users_old]
+        offsets = np.cumsum(counts) - counts
+        positions = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+        return _first_appearance(np.repeat(np.arange(users_old.size), counts),
+                                 ds.indices[positions], shared, ds.item_ids)
 
     target_old = {u: k for k, u in enumerate(target.user_ids)}
     new_target = rebuild(target, [target_old[u] for u in shared])
@@ -481,9 +521,10 @@ def generate_synthetic(config: SyntheticConfig) -> CrossDomainDataset:
         item_factors = item_rng.standard_normal((n_items, k))
         scores = domain_users @ item_factors.T
         top = np.argpartition(-scores, count - 1, axis=1)[:, :count]
-        chosen = _force_full_coverage(top, scores)
+        rows = [sorted(items) for items in _force_full_coverage(top, scores)]
         # Items renumbered in the order load_interactions gives after a write.
-        return _first_appearance([sorted(items) for items in chosen], [f"u{u}" for u in range(m)],
+        return _first_appearance(np.repeat(np.arange(m), [len(row) for row in rows]),
+                                 np.concatenate(rows), [f"u{u}" for u in range(m)],
                                  [f"{prefix}{old}" for old in range(n_items)])
 
     target = build(user_factors, config.num_items_target, config.target_density, "t")
@@ -558,16 +599,19 @@ _MANIFEST_KEYS = ("num_users", "num_items_target", "num_items_source",
                   "test", "validation", "eval_negatives")
 
 
-def _int_matrix(rows: list, cols: int, what: str) -> np.ndarray:
-    # One integer row per evaluated user, checked without a Python loop
-    # over the entries.
+def _int_matrix(rows: list, cols: int, what: str, booleans: bool) -> np.ndarray:
+    # One integer row per evaluated user. numpy's dtype discovery checks
+    # the entries, but reads a JSON true or false among integers as one
+    # more integer, so the entries are scanned for them when ``booleans``
+    # says the text holds one.
     try:
         arr = np.asarray(rows) if rows else np.empty((0, cols), dtype=np.int64)
     except (ValueError, OverflowError) as exc:
         raise DataError(f"split manifest: {what} ({exc})") from exc
-    if arr.shape != (len(rows), cols) or arr.dtype.kind != "i":
+    if (arr.shape != (len(rows), cols) or arr.dtype.kind != "i"
+            or booleans and bool in set(map(type, chain.from_iterable(rows)))):
         raise DataError(f"split manifest: {what}")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def _unique_keys(pairs) -> dict:
@@ -594,8 +638,9 @@ def load_split_manifest(data: CrossDomainDataset, path) -> LooSplit:
     each holds out two distinct items it really interacted with, and each
     has exactly 99 distinct in-range negatives it never interacted with.
     """
+    text = read_text(path, "split manifest")
     try:
-        manifest = json.loads(read_text(path, "split manifest"), object_pairs_hook=_unique_keys)
+        manifest = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:
         raise DataError(f"{path}: split manifest is not valid JSON ({exc})") from exc
     missing = [key for key in _MANIFEST_KEYS if not isinstance(manifest, dict) or key not in manifest]
@@ -607,29 +652,37 @@ def load_split_manifest(data: CrossDomainDataset, path) -> LooSplit:
             raise DataError(f"split manifest {key} {manifest[key]!r} does not match the dataset")
     partitions = [manifest[key] for key in ("test", "validation", "eval_negatives")]
     try:
-        test, validation, negatives = ({int(u): v for u, v in p.items()} for p in partitions)
-    except (AttributeError, TypeError, ValueError) as exc:
+        indices = [list(map(int, p.keys())) for p in partitions]
+    except (AttributeError, ValueError) as exc:
         raise DataError(f"{path}: split manifest partitions must map user indices ({exc})") from exc
-    aliased = next((u for p in partitions for u in p if str(int(u)) != u), None)
-    if aliased is not None:
-        raise DataError(f"{path}: split manifest user key {aliased!r} is not written as an index")
-    if set(test) != set(validation) or set(test) != set(negatives):
+    for p, ids in zip(partitions, indices):
+        if list(map(str, ids)) != list(p):
+            aliased = next(key for key in p if str(int(key)) != key)
+            raise DataError(f"{path}: split manifest user key {aliased!r} "
+                            "is not written as an index")
+    test, validation, negatives = partitions
+    if validation.keys() != test.keys() or negatives.keys() != test.keys():
         raise DataError("split manifest partitions cover different users")
-    users = np.asarray(sorted(test), dtype=np.int64)
+    users = np.sort(np.asarray(indices[0], dtype=np.int64))
     if users.size and (users[0] < 0 or users[-1] >= data.num_users):
         raise DataError(f"split manifest evaluates users outside 0..{data.num_users - 1}")
-    held = _int_matrix([[test[u], validation[u]] for u in users.tolist()], 2,
-                       "held-out items must be integers")
-    neg = _int_matrix([negatives[u] for u in users.tolist()], NUM_EVAL_NEGATIVES,
-                      f"each evaluated user needs a list of {NUM_EVAL_NEGATIVES} integer negatives")
+    keys = list(map(str, users.tolist()))
+    booleans = "true" in text or "false" in text
+    held = _int_matrix([(test[k], validation[k]) for k in keys], 2,
+                       "held-out items must be integers", booleans)
+    neg = _int_matrix([negatives[k] for k in keys], NUM_EVAL_NEGATIVES, "each evaluated user "
+                      f"needs a list of {NUM_EVAL_NEGATIVES} integer negatives", booleans)
 
     n = data.target.num_items
     _reject_rows((held < 0) | (held >= n), users, f"holds out an item outside 0..{n - 1}")
     _reject_rows(held[:, :1] == held[:, 1:], users, "holds out the same item twice")
-    _reject_rows((neg < 0) | (neg >= n), users, f"has a negative outside 0..{n - 1}")
+    # Sorted rows: the range shows at the ends, repeats sit side by side,
+    # and the membership search runs over ascending keys.
     ordered = np.sort(neg, axis=1)
+    _reject_rows((ordered[:, :1] < 0) | (ordered[:, -1:] >= n), users,
+                 f"has a negative outside 0..{n - 1}")
     _reject_rows(ordered[:, 1:] == ordered[:, :-1], users, "repeats a negative")
-    _reject_rows(data.target.contains(users[:, None], neg), users,
+    _reject_rows(data.target.contains(users[:, None], ordered), users,
                  "has a negative it interacted with")
     _reject_rows(~data.target.contains(users[:, None], held), users,
                  "holds out an item it never interacted with")

@@ -233,14 +233,15 @@ def _as_index_array(v) -> np.ndarray:
     return np.atleast_1d(np.asarray(v, dtype=np.int64))
 
 
-def _gather(a, rows):
-    return a if rows is None else a[rows]
+def _blocks(rows, num_users):
+    # ``rows`` (whole users in turn, the same number each) as a per-user view.
+    return rows.reshape(num_users, -1, rows.shape[1])
 
 
 # Eval-mode scoring runs chunks of whole users of about this many rows:
-# one forward over every candidate row is slower, and past a few thousand
-# rows a chunk's activations outgrow the caches and the peak memory grows.
-_CHUNK_ROWS = 512
+# smaller chunks pay more calls per row, and past a few thousand rows a
+# chunk's activations outgrow the caches and the peak memory grows.
+_CHUNK_ROWS = 1000
 # OpenBLAS 0.3 may round a gemm row differently in a call of fewer than
 # about 70 rows. Eval mode pads the per-user source block that a cross
 # connection multiplies at transition 1 to this size, one user's 100
@@ -316,71 +317,99 @@ class Model:
 
     # -- forward
 
-    def _transition(self, k: int, acts: list, rows=None, target_only=False):
+    def _transition(self, k: int, acts: list, target_only=False, num_users=None):
         """Inputs and pre-activations of hidden layer ``k`` from ``acts``.
 
         ``acts`` holds each tower's merged embedding for ``k = 0`` and its
         layer ``k - 1`` activations after; the coupling acts on the latter.
-        Eval mode gathers a per-user source operand into the target rows by
-        ``rows``, and at its last layer computes the target tower alone.
+        ``target_only`` computes the target tower alone (eval mode's last
+        layer). In eval mode's transition 1 ``acts[1]`` holds one source
+        row per user, then padding, and ``acts[0]`` ``num_users`` blocks of
+        target rows: each per-user term is broadcast over its user's block,
+        and every row gets the bits it has in training mode.
         """
         p = self.params
+
+        def spread(per_user):  # per-user rows, broadcast over each user's block
+            return per_user if num_users is None else per_user[:num_users, None]
+
+        def blocks(rows):
+            return rows if num_users is None else _blocks(rows, num_users)
+
         inputs = acts[:1] if target_only else acts
         if k and self.coupling == "stitch":
             keep, transfer = p[self.coupling_names[k - 1]]
-            source = _gather(acts[1], rows)
-            mixes = ((acts[0], source), (source, acts[0]))[: len(inputs)]
-            inputs = [keep * own + transfer * other for own, other in mixes]
-        pres = [a @ p[t.weights[k]].T + p[t.biases[k]] for t, a in zip(self.towers, inputs)]
+            own, other = blocks(acts[0]), spread(acts[1])
+            mixes = ((own, other), (other, own))[: len(inputs)]
+            inputs = [(keep * a + transfer * b).reshape(acts[0].shape[0], -1) for a, b in mixes]
+        pres = [a @ p[t.weights[k]].T for t, a in zip(self.towers, inputs)]
+        for t, pre in zip(self.towers, pres):
+            pre += p[t.biases[k]]
         if k and self.coupling == "cross":
             h = p[self.coupling_names[k - 1]]
-            pres[0] += _gather(acts[1] @ h.T, rows)
+            target = blocks(pres[0])
+            target += spread(acts[1] @ h.T)
             if not target_only:
-                pres[1] = _gather(pres[1], rows)
-                pres[1] += acts[0] @ h.T
+                source = acts[0] @ h.T
+                rows = blocks(source)
+                rows += spread(pres[1])
+                pres[1] = source
         return inputs, pres
 
-    def forward_batch(self, users, items_target, items_source=None, rows=None,
-                      halves=None) -> Trace:
+    def forward_batch(self, users, items_target, items_source=None, halves=None) -> Trace:
         """Forward pass; ``items_source`` pairs a source item with each row.
 
-        Single-tower models ignore ``items_source``. Passing ``rows`` and
-        ``halves`` asks for eval mode, which scores the target tower only:
-        ``items_source`` then holds one item per user, ``rows[r]`` is the
-        user of row ``r`` (an index into ``items_source``) and ``users[r]``
-        its user index. Layer 0 adds a row's entries of ``halves`` (see
-        ``score_candidates``); the source tower's runs once per user and
-        meets the target rows at transition 1, and its last layer is skipped.
+        Single-tower models ignore ``items_source``. Passing ``halves``
+        asks for eval mode, which scores the target tower only: the rows
+        then come as whole users in turn, the same number per user, and
+        ``items_source`` holds one item per user. Layer 0 adds a row's
+        entries of ``halves`` (see ``score_candidates``); the source
+        tower's runs once per user, each per-user term is broadcast over
+        its user's rows, and the source tower's last layer is skipped.
         """
         users = _as_index_array(users)
-        towers = self.towers if rows is None else self.towers[: len(halves)]
+        towers = self.towers if halves is None else self.towers[: len(halves)]
         items = [_as_index_array(v) for v in (items_target, items_source)[: len(towers)]]
         if users.min(initial=0) < 0 or min(it.min(initial=-1) for it in items) < -1:
             raise IndexError("user indices must be >= 0 and item indices >= -1 (no item)")
-        p, depth = self.params, len(self.config.hidden_widths)
         trace = Trace(users=users, items=items, inputs=[], pres=[], acts=[], logits=[])
-        if rows is None:
-            acts = [np.concatenate([p[t.user][users], _lookup(p[t.items], it)], axis=1)
-                    for t, it in zip(towers, items)]
-        else:
-            tower_users = [users] * len(towers)
-            if len(towers) == 2:  # one source row per user, padded with user 0, no item
-                rows = _as_index_array(rows)
-                padded = max(items[1].size, _MIN_BLOCK_ROWS if self.coupling == "cross" else 0)
-                tower_users[1] = np.zeros(padded, dtype=np.int64)
-                tower_users[1][rows] = users
-                items[1] = np.concatenate([items[1], np.full(padded - items[1].size, -1)])
-            acts = [np.maximum(user_half[u] + _lookup(item_half, it), 0.0)
-                    for (user_half, item_half), u, it in zip(halves, tower_users, items)]
-        for k in range(0 if rows is None else 1, depth):
-            inputs, pres = self._transition(k, acts, rows if k == 1 else None,
-                                            rows is not None and k == depth - 1)
+        if halves is not None:
+            return self._score_forward(trace, halves, np.size(items_source))
+        p = self.params
+        acts = [np.concatenate([p[t.user][users], _lookup(p[t.items], it)], axis=1)
+                for t, it in zip(towers, items)]
+        for k in range(len(self.config.hidden_widths)):
+            inputs, pres = self._transition(k, acts)
             acts = [np.maximum(pre, 0.0) for pre in pres]
-            if rows is None:  # only backward reads these; eval mode frees them
-                trace.inputs.append(inputs)
-                trace.pres.append(pres)
-                trace.acts.append(acts)
+            trace.inputs.append(inputs)
+            trace.pres.append(pres)
+            trace.acts.append(acts)
         trace.logits = [a @ p[t.out] for t, a in zip(towers, acts)]
+        return trace
+
+    def _score_forward(self, trace: Trace, halves: list, num_users: int) -> Trace:
+        # Eval mode of ``forward_batch``. Item -1 reads the zero row at the
+        # head of each item half, so every index moves up by one.
+        # Activations are built in place, and none is kept.
+        owners = trace.users[:: trace.users.size // num_users]
+        (user_half, item_half), *source = halves
+        rows = item_half[trace.items[0] + 1]
+        blocks = _blocks(rows, num_users)
+        blocks += user_half[owners][:, None]
+        acts = [rows]
+        if source:  # one source row per user, then zero rows up to a cross block
+            user_half, item_half = source[0]
+            padded = max(num_users, _MIN_BLOCK_ROWS if self.coupling == "cross" else 0)
+            acts.append(np.zeros((padded, user_half.shape[1])))
+            acts[1][:num_users] = user_half[owners] + item_half[trace.items[1] + 1]
+        for a in acts:
+            np.maximum(a, 0.0, out=a)
+        depth = len(self.config.hidden_widths)
+        for k in range(1, depth):
+            acts = self._transition(k, acts, k == depth - 1, num_users if k == 1 else None)[1]
+            for a in acts:
+                np.maximum(a, 0.0, out=a)
+        trace.logits = [acts[0] @ self.params[self.towers[0].out]]
         return trace
 
     # -- backward
@@ -420,12 +449,13 @@ class Model:
         directions; an uncoupled tower runs only when it is labelled.
         """
         want = set(self.params) if wanted is None else set(wanted)
-        grads = {name: np.zeros_like(self.params[name]) for name in want}
         p = self.params
         d = self.config.embedding_dim
         labels = (labels_target, labels_source)[: len(self.towers)]
         live = [i for i, y in enumerate(labels) if self.coupling or y is not None]
         towers = [self.towers[i] for i in live]
+        tables = {name for t in towers for name in (t.user, t.items)}
+        grads = {name: np.zeros_like(p[name]) for name in want - tables}
 
         probs = trace.probs
         d_a = []
@@ -450,14 +480,21 @@ class Model:
             acts = trace.acts[k - 1]
             d_a = self._couple_backward(k, [acts[i] for i in live], d_pre, d_in, grads, want)
 
+        # Each embedding table's gradient is one bincount over the flat
+        # cells its rows touch, the target tower's first. bincount adds in
+        # input order, starting from 0.0, as np.add.at on a zeroed table does.
+        cells = {name: [] for name in tables & want}
         for i, t, g in zip(live, towers, d_pre):
             d_x = g @ p[t.weights[0]]
-            if t.user in want:
-                np.add.at(grads[t.user], trace.users, d_x[:, :d])
-            items = trace.items[i]
-            valid = items >= 0
-            if t.items in want and valid.any():
-                np.add.at(grads[t.items], items[valid], d_x[valid, d:])
+            valid = trace.items[i] >= 0
+            for name, rows, values in ((t.user, trace.users, d_x[:, :d]),
+                                       (t.items, trace.items[i][valid], d_x[valid, d:])):
+                if name in cells:
+                    flat = (rows[:, None] * d + np.arange(d)).ravel()
+                    cells[name].append((flat, values.ravel()))
+        for name, parts in cells.items():
+            index, values = (np.concatenate(column) for column in zip(*parts))
+            grads[name] = np.bincount(index, values, minlength=p[name].size).reshape(p[name].shape)
         return grads
 
     # -- scoring
@@ -470,7 +507,8 @@ class Model:
         linear in ``[p; q]``: a row adds its user's row of ``P W_0[:, :d]^T
         + b_0`` and its item's row of ``Q W_0[:, d:]^T``, halves computed
         once per call over whole tables so that a row's bits do not depend
-        on the users sharing the call.
+        on the users sharing the call. Each item half starts with a zero
+        row, which the sentinel -1 reads.
         """
         users = _as_index_array(users)
         candidates = np.asarray(candidates, dtype=np.int64).reshape(users.size, -1)
@@ -481,13 +519,15 @@ class Model:
         scores = np.empty(candidates.shape)
         d, p = self.config.embedding_dim, self.params
         coupled = self.coupling and len(self.config.hidden_widths) > 1  # source reaches target
-        halves = [(p[t.user] @ p[t.weights[0]][:, :d].T + p[t.biases[0]],
-                   p[t.items] @ p[t.weights[0]][:, d:].T)
-                  for t in (self.towers if coupled else self.towers[:1])]
+        halves = []
+        for t in self.towers if coupled else self.towers[:1]:
+            w = p[t.weights[0]]
+            item_half = np.zeros((p[t.items].shape[0] + 1, w.shape[0]))
+            item_half[1:] = p[t.items] @ w[:, d:].T
+            halves.append((p[t.user] @ w[:, :d].T + p[t.biases[0]], item_half))
         for start in range(0, users.size, step):
             chunk = slice(start, start + step)
-            rows = np.repeat(np.arange(users[chunk].size), per_user)
-            trace = self.forward_batch(users[chunk][rows], candidates[chunk].ravel(),
-                                       sources[chunk], rows=rows, halves=halves)
+            trace = self.forward_batch(np.repeat(users[chunk], per_user),
+                                       candidates[chunk].ravel(), sources[chunk], halves=halves)
             scores[chunk] = trace.probs[0].reshape(-1, per_user)
         return scores

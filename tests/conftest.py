@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conet.data import CrossDomainDataset, InteractionDataset, loo_split
-from conet.errors import NumericError
+from conet.errors import DataError, NumericError
 from conet.evaluation import MetricsReport, hit_ratio, mrr, ndcg
 from conet.models import DomainSizes, Model, ModelConfig, build_model
 from conet.numerics import derive_rng, sigmoid
@@ -101,6 +101,30 @@ def from_adjacency(num_users, num_items, adjacency, user_ids=None, item_ids=None
         num_users, num_items, users, items,
         [str(u) for u in range(num_users)] if user_ids is None else user_ids,
         [str(i) for i in range(num_items)] if item_ids is None else item_ids)
+
+
+def reference_load_interactions(text, min_user_interactions):
+    """The interaction log ``text`` (decoded) read line by line.
+
+    Returns ``(user_ids, item_ids, adjacency)``: users in first-appearance
+    order, items numbered by first appearance over the kept users' items
+    walked user-major, and each user's item indices in file order, each
+    once. Raises DataError with the loader's message, less its path prefix.
+    """
+    per_user, codes = {}, {}  # user -> its items' file-order codes, in order, once each
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) < 2 or not parts[0] or not parts[1]:
+            raise DataError(f"malformed line {lineno}: {line!r}")
+        per_user.setdefault(parts[0], {})[codes.setdefault(parts[1], len(codes))] = None
+    kept = [u for u, items in per_user.items() if len(items) >= min_user_interactions]
+    if not kept:
+        raise DataError("no interactions left after filtering")
+    names, index = list(codes), {}
+    adjacency = [[index.setdefault(names[c], len(index)) for c in per_user[u]] for u in kept]
+    return tuple(kept), tuple(index), adjacency
 
 
 def items_by_user(dataset):

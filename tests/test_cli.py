@@ -761,7 +761,7 @@ MANIFEST_KEYS = ("num_users", "num_items_target", "num_items_source",
                  "test", "validation", "eval_negatives")
 NON_INTEGERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3), st.none(),
-    st.lists(st.integers(0, 5), max_size=2))
+    st.lists(st.integers(0, 5), max_size=2), st.booleans())
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

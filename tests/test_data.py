@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conet.data import (
     CrossDomainDataset,
@@ -25,7 +26,8 @@ from conet.errors import ConfigError, DataError
 from conet.numerics import derive_rng
 
 from conftest import (from_adjacency, has, held_by_user, items_by_user, reference_batches,
-                      reference_loo_draws, reference_manifest_text, same_interactions)
+                      reference_load_interactions, reference_loo_draws, reference_manifest_text,
+                      same_interactions)
 
 HELD_OUT = ("users", "test", "validation", "eval_negatives")
 
@@ -78,7 +80,49 @@ class TestInteractionDataset:
             InteractionDataset.from_pairs(3, 4, [0, 3], [1, 0], ["a", "b", "c"], list("wxyz"))
 
 
+# Ids may hold spaces, '#' and characters that are line breaks to
+# str.splitlines but not to the loader; a few fixed ones make repeats likely.
+ID = st.sampled_from(["u1", "u 2", "a#b", "x", "7"]) | st.text(
+    alphabet="ab #\u00e9\x0b\u2028", min_size=1, max_size=3)
+TABBED_LINE = st.builds("{}\t{}".format, ID, ID) | st.builds(
+    "{}\t{}\t{}".format, ID, ID, st.sampled_from(["c", "c d", "c\td", "", "\t"]))  # extra columns
+COMMENT_LINE = st.builds("#{}".format, st.text(alphabet="c\t #", max_size=4))
+ANY_LINE = TABBED_LINE | COMMENT_LINE | st.just("")
+MALFORMED_LINE = st.sampled_from(["u", " ", "u\t", "\ti", "\t", "u\t\tx"])
+
+
 class TestLoadInteractions:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.booleans().flatmap(lambda tabbed: st.lists(TABBED_LINE if tabbed else ANY_LINE,
+                                                               max_size=16)),
+           malformed=st.none() | st.tuples(st.integers(0, 16), MALFORMED_LINE),
+           newline=st.sampled_from(["\n", "\r\n"]), bom=st.booleans(),
+           final_newline=st.booleans(), minimum=st.integers(1, 4))
+    @example(lines=["a\tx", "a\ty", "b\tx"], malformed=None, newline="\n", bom=False,
+             final_newline=True, minimum=4)  # the filter drops every user
+    @example(lines=["a\tx", "a\tx", "a\ty"], malformed=(1, "u\t"), newline="\r\n", bom=True,
+             final_newline=False, minimum=1)
+    @example(lines=["a\tx\tc", "a\ty"], malformed=(2, "u"), newline="\n", bom=False,
+             final_newline=True, minimum=1)  # as many tabs as lines, one line without
+    def test_matches_the_line_by_line_reference(self, tmp_path_factory, lines, malformed,
+                                                newline, bom, final_newline, minimum):
+        if malformed is not None:
+            lines.insert(malformed[0] % (len(lines) + 1), malformed[1])
+        text = newline.join(lines) + (newline if final_newline and lines else "")
+        path = tmp_path_factory.mktemp("log") / "t.tsv"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+        decoded = text.replace("\r\n", "\n")
+        try:
+            user_ids, item_ids, adjacency = reference_load_interactions(decoded, minimum)
+        except DataError as exc:
+            with pytest.raises(DataError) as raised:
+                load_interactions(path, minimum)
+            assert str(raised.value) == f"{path}: {exc}"
+            return
+        ds = load_interactions(path, minimum)
+        assert ds.user_ids == user_ids and ds.item_ids == item_ids
+        assert [a.tolist() for a in items_by_user(ds)] == [sorted(row) for row in adjacency]
+
     def test_dedup(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("a\tx\na\tx\na\ty\n")
@@ -552,6 +596,35 @@ class TestSplitManifest:
             text = text.replace('"test": {', f'"test": {{"{user}": {held}, ', 1)
         path.write_text(text)
         with pytest.raises(DataError):
+            load_split_manifest(data, path)
+
+    @pytest.mark.parametrize("partition", ["test", "validation", "eval_negatives"])
+    def test_rejects_json_booleans(self, tmp_path, partition):
+        # numpy reads a true among integers as 1: the manifest loads with
+        # the integer 0 or 1 in one place, and is refused with the boolean.
+        # Odd users hold items 0 and 1, even users neither.
+        data = CrossDomainDataset(
+            target=make_dataset([[0, 1, 10 + u, 30 + u] if u % 2 else [10 + u, 30 + u, 50 + u]
+                                 for u in range(12)], 120),
+            source=make_dataset([[u % 5] for u in range(12)], 5))
+        split = loo_split(data, derive_rng(3, "split"))
+        path = tmp_path / "split.json"
+        save_split_manifest(split, path)
+        manifest = json.loads(path.read_text())
+        block = manifest[partition]
+        user, value = next(
+            (u, v) for u in split.users.tolist() for v in (0, 1)
+            if (not has(data.target, u, v) and v not in block[str(u)]
+                if partition == "eval_negatives" else has(split.train.target, u, v)))
+        for item in (value, bool(value)):
+            if partition == "eval_negatives":
+                block[str(user)][0] = item
+            else:
+                block[str(user)] = item
+            path.write_text(json.dumps(manifest))
+            if type(item) is int:
+                load_split_manifest(data, path)
+        with pytest.raises(DataError, match="integer"):
             load_split_manifest(data, path)
 
 

@@ -255,6 +255,32 @@ def mlp_view_of_tower(model, side):
     return Model(cfg, DomainSizes(TINY.num_users, items), params)
 
 
+class TestEvalModeScoring:
+    """``score_candidates`` against one factored forward per user, bit for bit."""
+
+    SIZES = DomainSizes(num_users=120, num_items_target=150, num_items_source=130)
+
+    @pytest.mark.parametrize("arch", ["mlp", "mlp++", "csn", "conet"])
+    @pytest.mark.parametrize("num_users", [1, 9, 10, 11, 101])
+    def test_matches_factored_forward_across_chunk_boundaries(self, arch, num_users):
+        # Ten users of 100 candidates fill a chunk, so 11 and 101 users
+        # split a call; the last user has no source history.
+        widths = (16, 16, 16) if arch == "csn" else (16, 8, 4)
+        model = build_model(ModelConfig(architecture=arch, embedding_dim=8,
+                                        hidden_widths=widths), self.SIZES, 5)
+        rng = np.random.default_rng(num_users)
+        for name, value in model.params.items():
+            model.params[name] = value + rng.normal(scale=0.3, size=value.shape)
+        users = rng.choice(self.SIZES.num_users, num_users, replace=False)
+        candidates = rng.integers(0, self.SIZES.num_items_target, size=(num_users, 100))
+        sources = rng.integers(0, self.SIZES.num_items_source, size=num_users)
+        sources[-1] = -1
+        scores = model.score_candidates(users, candidates, sources)
+        for u, row, source, got in zip(users, candidates, sources, scores):
+            expected = factored_forward(model, np.full(100, u), row, np.full(100, source))
+            assert np.array_equal(got, expected)
+
+
 class TestTraceProbabilities:
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_probs_are_sigmoid_of_each_towers_logits(self, arch):
