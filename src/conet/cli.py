@@ -29,6 +29,7 @@ from .numerics import derive_rng
 from .training import EpochStats, TrainConfig, Trainer, make_scorer
 
 ENV_OUTPUT_ROOT = "CONET_OUTPUT_ROOT"
+_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded")
 
 
 @dataclass
@@ -104,6 +105,17 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
+def _csv(text: str, convert, flag: str) -> list:
+    """The comma-separated values of a list-valued flag or key, at least one."""
+    try:
+        values = [convert(v) for v in text.replace(" ", "").split(",") if v]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: cannot read {text!r} ({exc})") from exc
+    if not values:
+        raise ConfigError(f"{flag} needs at least one value")
+    return values
+
+
 def _coerce(name: str, raw):
     """``raw`` read as the type of the default of field ``name``."""
     defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
@@ -118,9 +130,9 @@ def _coerce(name: str, raw):
         if text.lower() in ("0", "false", "no"):
             return False
         raise ConfigError(f"{name} must be a boolean, got {raw!r}")
+    if isinstance(default, tuple):
+        return tuple(_csv(text, int, name))
     try:
-        if isinstance(default, tuple):
-            return tuple(int(v) for v in text.replace(" ", "").split(",") if v)
         return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"{name}: cannot read {raw!r} ({exc})") from exc
@@ -322,17 +334,6 @@ def _config_from_args(args) -> RunConfig:
     return load_run_config(args.config, overrides)
 
 
-def _csv(text: str, convert, flag: str) -> list:
-    """The comma-separated values of a list-valued flag, at least one."""
-    try:
-        values = [convert(v) for v in text.replace(" ", "").split(",") if v]
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: cannot read {text!r} ({exc})") from exc
-    if not values:
-        raise ConfigError(f"{flag} needs at least one value")
-    return values
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors are config errors: one line, exit 2."""
 
@@ -395,7 +396,10 @@ def main(argv=None) -> int:
         # Inputs are read behind DataError, so what is left is a failed write.
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return ConfigError.exit_code
-    except MemoryError as exc:
+    except (MemoryError, OverflowError, ValueError) as exc:
+        # numpy refuses a size whose byte count overflows with the last two.
+        if isinstance(exc, ValueError) and not str(exc).startswith(_TOO_BIG):
+            raise
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return ConfigError.exit_code
     except KeyboardInterrupt:

@@ -650,20 +650,18 @@ def load_split_manifest(data: CrossDomainDataset, path) -> LooSplit:
                       ("num_items_source", data.source.num_items)):
         if manifest[key] != size:
             raise DataError(f"split manifest {key} {manifest[key]!r} does not match the dataset")
-    partitions = [manifest[key] for key in ("test", "validation", "eval_negatives")]
-    try:
-        indices = [list(map(int, p.keys())) for p in partitions]
-    except (AttributeError, ValueError) as exc:
-        raise DataError(f"{path}: split manifest partitions must map user indices ({exc})") from exc
-    for p, ids in zip(partitions, indices):
-        if list(map(str, ids)) != list(p):
-            aliased = next(key for key in p if str(int(key)) != key)
-            raise DataError(f"{path}: split manifest user key {aliased!r} "
-                            "is not written as an index")
-    test, validation, negatives = partitions
+    test, validation, negatives = (manifest[k] for k in ("test", "validation", "eval_negatives"))
+    if not all(isinstance(p, dict) for p in (test, validation, negatives)):
+        raise DataError(f"{path}: split manifest partitions must map user indices")
     if validation.keys() != test.keys() or negatives.keys() != test.keys():
         raise DataError("split manifest partitions cover different users")
-    users = np.sort(np.asarray(indices[0], dtype=np.int64))
+    try:
+        users = np.sort(np.asarray(list(map(int, test)), dtype=np.int64))
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: split manifest user keys must be indices ({exc})") from exc
+    aliased = next((key for key in test if str(int(key)) != key), None)
+    if aliased is not None:
+        raise DataError(f"{path}: split manifest user key {aliased!r} is not written as an index")
     if users.size and (users[0] < 0 or users[-1] >= data.num_users):
         raise DataError(f"split manifest evaluates users outside 0..{data.num_users - 1}")
     keys = list(map(str, users.tolist()))

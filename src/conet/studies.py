@@ -2,13 +2,11 @@
 
 Every study freezes one leave-one-out split and trains all arms against
 it with the same seed, so per-user paired t-tests compare models under
-identical conditions. Each driver builds a list of ``(config, split)``
-arms, each config checked as it is built, so a bad arm fails before any
-arm trains. One runner trains the arms (in parallel worker threads if
-asked) and t-tests each against the baseline arm. An arm returns only what the report reads:
-its test metrics, its epoch count and the zero ratio of each transfer
-matrix; its model is dropped when the arm ends. Results are collected in
-arm order, so the report does not depend on scheduling.
+identical conditions. A driver only lists its arms, each config checked
+as it is built, so a bad arm fails before any arm trains. One runner
+trains the arms (in worker threads if asked), dropping each model when
+its arm ends, t-tests each against the baseline arm and builds the rows
+in arm order, so the report does not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -43,8 +41,8 @@ ARCH_CHOICES = ("mlp", "mlp++", "csn", "conet", "sconet")
 class StudyRow:
     condition: str
     metrics: MetricsReport
-    p_value: float = None
-    details: dict = field(default_factory=dict)
+    p_value: float
+    details: dict
 
 
 @dataclass
@@ -89,16 +87,14 @@ class StudyReport:
 def model_config_for(arch: str, base: ModelConfig) -> ModelConfig:
     """Resolve a study arch name into a concrete model config.
 
-    ``conet`` forces the penalty off; ``sconet`` keeps the configured
-    lambda, or the 0.1 default when it is zero.
+    ``sconet`` keeps the configured lambda, or the 0.1 default when it is
+    zero; every other arch, ``conet`` among them, runs without the penalty.
     """
     if arch not in ARCH_CHOICES:
         raise ConfigError(f"unknown architecture {arch!r}; pick one of {ARCH_CHOICES}")
     if arch == "sconet":
         lam = base.lasso_lambda or 0.1
         return replace(base, architecture="conet", lasso_lambda=lam)
-    if arch == "conet":
-        return replace(base, architecture="conet", lasso_lambda=0.0)
     return replace(base, architecture=arch, lasso_lambda=0.0)
 
 
@@ -110,134 +106,106 @@ def _train_and_evaluate(config: ModelConfig, split: LooSplit, train_config: Trai
     return report, len(stats), [sparsity_ratio(h) for h in model.transfer_matrices()]
 
 
-def _run_arms(arms, baseline: int, train_config: TrainConfig, workers: int) -> list:
-    """Train ``(config, split)`` arms and t-test each one against arm ``baseline``.
+def _run_arms(kind: str, arms, baseline: int, train_config: TrainConfig,
+              workers: int) -> StudyReport:
+    """Train ``(condition, config, split, details)`` arms into one report.
 
-    Returns one ``(report, epochs_trained, h_zero_ratios, p_value)`` per
-    arm, in arm order, whatever the number of worker threads.
+    A worker thread gets an arm's config and split, never its ``details``.
+    Each row's p-value is a paired t-test of per-user NDCG contributions
+    against arm ``baseline``; ``details(epochs_trained, h_zero_ratios)``
+    gives its details.
     """
-    def run(arm):
-        return _train_and_evaluate(*arm, train_config)
-
+    _, configs, splits, _ = zip(*arms)
+    jobs = (_train_and_evaluate, configs, splits, [train_config] * len(arms))
     if workers <= 1:
-        results = [run(arm) for arm in arms]
+        results = list(map(*jobs))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, arms))
+            results = list(pool.map(*jobs))
     base_vector = ndcg_contributions(results[baseline][0].positions)
-    return [(*result, paired_t_test(ndcg_contributions(result[0].positions), base_vector))
-            for result in results]
+    rows = [StudyRow(condition, report,
+                     paired_t_test(ndcg_contributions(report.positions), base_vector),
+                     details(epochs, ratios))
+            for (condition, _, _, details), (report, epochs, ratios) in zip(arms, results)]
+    return StudyReport(kind, arms[baseline][0], train_config.seed, rows)
 
 
 def compare_architectures(split: LooSplit, archs, base_config: ModelConfig,
                           train_config: TrainConfig, baseline: str = None,
                           workers: int = 1) -> StudyReport:
-    """Train each architecture on one frozen split and tabulate the metrics.
-
-    Every arm shares the split and the seed. The p-value of each row is a
-    paired t-test of per-user NDCG contributions against the baseline arm
-    (``mlp`` when present, else the first arch).
-    """
+    """Train each arch on one split, against ``mlp`` if listed, else the first arch."""
     configs = [model_config_for(arch, base_config) for arch in archs]
     if baseline is None:
         baseline = "mlp" if "mlp" in archs else archs[0]
     if baseline not in archs:
         raise ConfigError(f"baseline {baseline!r} is not among the compared architectures")
 
-    results = _run_arms([(cfg, split) for cfg in configs], archs.index(baseline),
-                        train_config, workers)
-    rows = []
-    for arch, cfg, (report, epochs, ratios, p_value) in zip(archs, configs, results):
-        details = {
+    def details(cfg):
+        return lambda epochs, ratios: {
             "architecture": cfg.architecture,
             "lambda": cfg.lasso_lambda,
             "epochs_trained": epochs,
+            **({"h_zero_ratios": ratios} if cfg.architecture == "conet" else {}),
         }
-        if cfg.architecture == "conet":
-            details["h_zero_ratios"] = ratios
-        rows.append(StudyRow(condition=arch, metrics=report, p_value=p_value, details=details))
-    return StudyReport(kind="compare", baseline=baseline, seed=train_config.seed, rows=rows)
+
+    arms = [(arch, cfg, split, details(cfg)) for arch, cfg in zip(archs, configs)]
+    return _run_arms("compare", arms, archs.index(baseline), train_config, workers)
 
 
 def lambda_sweep(split: LooSplit, lambdas, base_config: ModelConfig,
                  train_config: TrainConfig, workers: int = 1) -> StudyReport:
-    """Train the cross-connection model once per penalty weight."""
-    arms = [(replace(base_config, architecture="conet", lasso_lambda=float(lam)), split)
+    """Train the cross-connection model once per penalty weight; the first is the baseline."""
+    def details(lam):
+        return lambda epochs, ratios: {
+            "lambda": lam,
+            "h_zero_ratios": ratios,
+            "mean_zero_ratio": sum(ratios) / len(ratios) if ratios else 0.0,
+            "epochs_trained": epochs,
+        }
+
+    arms = [(f"lambda={lam:g}", replace(base_config, architecture="conet",
+                                        lasso_lambda=float(lam)), split, details(float(lam)))
             for lam in lambdas]
-    rows = [
-        StudyRow(
-            condition=f"lambda={lam:g}",
-            metrics=report,
-            p_value=p_value,
-            details={
-                "lambda": float(lam),
-                "h_zero_ratios": ratios,
-                "mean_zero_ratio": sum(ratios) / len(ratios) if ratios else 0.0,
-                "epochs_trained": epochs,
-            },
-        )
-        for lam, (report, epochs, ratios, p_value)
-        in zip(lambdas, _run_arms(arms, 0, train_config, workers))
-    ]
-    return StudyReport(kind="lambda-sweep", baseline=rows[0].condition,
-                       seed=train_config.seed, rows=rows)
+    return _run_arms("lambda-sweep", arms, 0, train_config, workers)
 
 
 def reduce_study(split: LooSplit, levels, base_config: ModelConfig,
                  train_config: TrainConfig, workers: int = 1) -> StudyReport:
     """Shrink the target train set per user and race SCoNet against MLP.
 
-    The MLP reference trains once on the full split; each level trains the
-    sparse cross-connection model on a reduced copy. The summary records
-    the first level where it falls below the MLP reference on NDCG.
+    The MLP reference trains once on the full split and has no p-value;
+    each level trains the sparse cross-connection model on a reduced copy.
+    The summary records the first level below the MLP reference on NDCG.
     """
     levels = sorted(set(int(k) for k in levels))
     sconet_config = model_config_for("sconet", base_config)
     reduced = [reduce_training(split, level, derive_rng(train_config.seed, "reduce", level))
                for level in levels]
-    arms = [(model_config_for("mlp", base_config), split)]
-    arms += [(sconet_config, red) for red in reduced]
-    (mlp_report, mlp_epochs, _, _), *results = _run_arms(arms, 0, train_config, workers)
-
     total = split.train.target.num_interactions
-    rows = [StudyRow(
-        condition="mlp",
-        metrics=mlp_report,
-        p_value=None,
-        details={
-            "architecture": "mlp",
-            "removed": 0,
-            "removed_percent": 0.0,
-            "train_size": total,
-            "epochs_trained": mlp_epochs,
-        },
-    )]
-    crossover = None
-    for level, red, (report, epochs, _, p_value) in zip(levels, reduced, results):
-        removed = total - red.train.target.num_interactions
-        rows.append(StudyRow(
-            condition=f"sconet-remove-{level}",
-            metrics=report,
-            p_value=p_value,
-            details={
-                "architecture": "conet",
-                "lambda": sconet_config.lasso_lambda,
-                "per_user_removal": level,
-                "removed": removed,
-                "removed_percent": 100.0 * (removed / total if total else 0.0),
-                "train_size": total - removed,
-                "epochs_trained": epochs,
-            },
-        ))
-        if crossover is None and report.ndcg < mlp_report.ndcg:
-            crossover = level
-    return StudyReport(
-        kind="reduce",
-        baseline="mlp",
-        seed=train_config.seed,
-        rows=rows,
-        summary={"crossover_level": crossover},
-    )
+
+    def details(level, removed):
+        return lambda epochs, ratios: {
+            "architecture": "conet",
+            "lambda": sconet_config.lasso_lambda,
+            "per_user_removal": level,
+            "removed": removed,
+            "removed_percent": 100.0 * (removed / total if total else 0.0),
+            "train_size": total - removed,
+            "epochs_trained": epochs,
+        }
+
+    arms = [("mlp", model_config_for("mlp", base_config), split, lambda epochs, ratios: {
+        "architecture": "mlp", "removed": 0, "removed_percent": 0.0, "train_size": total,
+        "epochs_trained": epochs})]
+    arms += [(f"sconet-remove-{level}", sconet_config, red,
+              details(level, total - red.train.target.num_interactions))
+             for level, red in zip(levels, reduced)]
+    report = _run_arms("reduce", arms, 0, train_config, workers)
+    mlp, *rows = report.rows
+    mlp.p_value = None
+    below = [level for level, row in zip(levels, rows) if row.metrics.ndcg < mlp.metrics.ndcg]
+    report.summary = {"crossover_level": below[0] if below else None}
+    return report
 
 
 def sparsity_table(model) -> list:

@@ -365,15 +365,19 @@ class TestStudies:
         ratios = [row["details"]["mean_zero_ratio"] for row in study["rows"]]
         assert ratios[0] < 0.01 and ratios[1] > 0.5
 
-    def test_workers_do_not_change_study_json(self, tmp_path):
+    @pytest.mark.parametrize("arms", [["compare", "--archs", "mlp,mlp++,csn,conet,sconet"],
+                                      ["lambda-sweep", "--lambdas", "0,0.1,1"],
+                                      ["reduce-study", "--levels", "0,1,2"]],
+                             ids=["compare", "lambda-sweep", "reduce-study"])
+    def test_workers_do_not_change_study_json(self, tmp_path, arms):
         # The data and training settings of acceptance criterion 9.
         data = generate(tmp_path, seed=3)
         studies = []
         for workers in ("1", "2"):
             out = tmp_path / f"workers-{workers}"
-            assert main(["compare", "--archs", "mlp,mlp++,csn,conet,sconet", "--workers", workers,
-                         "--embedding-dim", "4", "--hidden-widths", "8,8,8", "--epochs", "3",
-                         "--batch-size", "32", "--seed", "11",
+            assert main([*arms, "--workers", workers, "--embedding-dim", "4",
+                         "--hidden-widths", "8,8,8", "--epochs", "3", "--batch-size", "32",
+                         "--seed", "11",
                          "--target", str(data / "target.tsv"), "--source", str(data / "source.tsv"),
                          "--out", str(out)]) == 0
             studies.append((out / "study.json").read_bytes())
@@ -467,7 +471,16 @@ class TestMalformedInput:
         ["train", "--embedding-dim", "200000000", "--hidden-widths", "400000000"],
         ["train", "--negative-ratio", "1000000000"],
         ["generate", "--users", "100000000"],
-    ], ids=["embedding-tables", "negatives", "generated-users"])
+        # Sizes whose byte count numpy cannot describe, or a C long cannot hold.
+        ["train", "--negative-ratio", str(10 ** 18)],
+        ["train", "--negative-ratio", str(10 ** 30)],
+        ["train", "--embedding-dim", "4", "--hidden-widths", f"8,{10 ** 18}"],
+        ["generate", "--users", str(10 ** 18)],
+        ["generate", "--users", str(10 ** 10), "--latent-dim", str(10 ** 10)],
+        ["generate", "--users", str(10 ** 30)],
+    ], ids=["embedding-tables", "negatives", "generated-users", "negatives-too-big",
+            "negatives-overflow", "width-too-big", "generated-users-too-big",
+            "latent-factors-too-big", "generated-users-too-many-dims"])
     def test_out_of_memory_is_one_line_and_exit_2(self, tmp_path, frozen_run, argv):
         # Each run asks for 6 to 715 GiB. The child may address 3 GiB, so
         # the allocation fails at once; the limit binds the child alone.

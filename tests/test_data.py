@@ -553,7 +553,7 @@ class TestSplitManifest:
         "negative_out_of_range", "float_negative", "short_negatives",
         "user_out_of_range", "same_item_held_twice", "held_item_not_interacted",
         "interacted_negative", "not_json", "no_users", "zero_padded_user", "spaced_user",
-        "repeated_user",
+        "repeated_user", "huge_user",
     ])
     def test_rejects_malformed_manifest(self, tmp_path, case):
         data = small_cross_domain()
@@ -588,6 +588,9 @@ class TestSplitManifest:
         elif case == "no_users":
             for key in ("test", "validation", "eval_negatives"):
                 manifest[key] = {}
+        elif case == "huge_user":  # an index beyond int64, in every partition
+            for key in ("test", "validation", "eval_negatives"):
+                manifest[key][str(10 ** 20)] = manifest[key].pop(user)
         elif case in ("zero_padded_user", "spaced_user"):
             alias = "0" + user if case == "zero_padded_user" else f" {user}"
             manifest["validation"][alias] = manifest["validation"].pop(user)

@@ -31,6 +31,8 @@ def split():
 BASE = ModelConfig(architecture="conet", embedding_dim=4, hidden_widths=(8, 4, 2),
                    lasso_lambda=0.1)
 FAST = TrainConfig(epochs=2, batch_size=16, seed=0)
+COMPARE_KEYS = ["architecture", "lambda", "epochs_trained"]
+REDUCE_KEYS = ["architecture", "removed", "removed_percent", "train_size", "epochs_trained"]
 
 
 class TestModelConfigFor:
@@ -104,12 +106,31 @@ class TestCompare:
             assert a.metrics.ndcg == b.metrics.ndcg
             assert a.p_value == b.p_value
 
-    def test_jsonable_shape(self, split):
-        report = compare_architectures(split, ["mlp"], BASE, FAST)
-        record = report.to_jsonable()
-        assert record["kind"] == "compare"
-        assert list(record["rows"][0])[:6] == ["condition", "hr", "ndcg", "mrr",
-                                               "num_users", "p_value"]
+    @pytest.mark.parametrize("driver, arms, kind, detail_keys", [
+        (compare_architectures, ["mlp", "mlp++", "conet"], "compare",
+         [COMPARE_KEYS, COMPARE_KEYS, [*COMPARE_KEYS, "h_zero_ratios"]]),
+        (lambda_sweep, [0.0, 0.1], "lambda-sweep",
+         [["lambda", "h_zero_ratios", "mean_zero_ratio", "epochs_trained"]] * 2),
+        (reduce_study, [0, 1, 2], "reduce",
+         [REDUCE_KEYS, *[["architecture", "lambda", "per_user_removal", *REDUCE_KEYS[1:]]] * 3]),
+    ], ids=["compare", "lambda-sweep", "reduce-study"])
+    def test_jsonable_shape(self, split, driver, arms, kind, detail_keys):
+        # study.json's layout: every key in order, the baseline arm first.
+        record = driver(split, arms, BASE, FAST).to_jsonable()
+        assert list(record) == ["kind", "baseline", "seed", "rows", "summary"]
+        rows = record["rows"]
+        assert record["kind"] == kind and record["baseline"] == rows[0]["condition"]
+        for row, keys in zip(rows, detail_keys, strict=True):
+            assert list(row) == ["condition", "hr", "ndcg", "mrr", "num_users", "p_value",
+                                 "details"]
+            assert list(row["details"]) == keys
+        if kind != "reduce":
+            assert rows[0]["p_value"] == 1.0 and record["summary"] == {}
+            return
+        assert rows[0]["p_value"] is None
+        assert all(0.0 <= row["p_value"] <= 1.0 for row in rows[1:])
+        below = [level for level, row in zip(arms, rows[1:]) if row["ndcg"] < rows[0]["ndcg"]]
+        assert record["summary"] == {"crossover_level": below[0] if below else None}
 
 
 class TestLambdaSweep:
