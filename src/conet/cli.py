@@ -341,6 +341,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+# ``--config`` and one flag per RunConfig field, declared once; every verb takes them.
+_RUN_FLAGS = argparse.ArgumentParser(add_help=False)
+_RUN_FLAGS.add_argument("--config", help="flat key = value config file")
+for _f in dataclasses.fields(RunConfig):
+    _RUN_FLAGS.add_argument("--" + _f.name.replace("_", "-"), dest=f"cfg_{_f.name}", metavar="V")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The verbs' parser; each verb's ``run(config, args, out_dir)`` is its default."""
     parser = _Parser(
@@ -350,10 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def verb(name, run, help_text, **defaults):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="flat key = value config file")
-        for f in dataclasses.fields(RunConfig):
-            p.add_argument("--" + f.name.replace("_", "-"), dest=f"cfg_{f.name}", metavar="V")
+        p = sub.add_parser(name, help=help_text, parents=[_RUN_FLAGS])
         p.set_defaults(run=run, **defaults)
         return p
 

@@ -409,6 +409,10 @@ def epoch_batches(
                         f"{dataset.num_items} items, so no negative can be drawn")
     order = rng.permutation(pairs.shape[0])
     per_positive = 1 + negative_ratio
+    if min(batch_size, pairs.shape[0]) * per_positive > np.iinfo(np.int64).max:
+        # numpy would wrap the repeat count and write past its buffer.
+        raise ConfigError(f"negative_ratio {negative_ratio} makes a batch larger than int64 "
+                          "can count")
     for start in range(0, order.size, batch_size):
         chunk = pairs[order[start : start + batch_size]]
         users = np.repeat(chunk[:, 0], per_positive)

@@ -100,10 +100,9 @@ class Adam:
     Each tensor carries its own update count for bias correction, so a
     tensor that is only touched by every other batch (a domain-specific
     tower in alternating training) sees exactly the same update sequence
-    it would in a single-domain run. Updates run in place, in the
-    textbook formula's operation order, so they round exactly as the
-    out-of-place formula does; their temporaries live in one scratch
-    buffer sized to the largest tensor, so memory stays flat.
+    it would in a single-domain run. Updates run in place on the tensor
+    and its slot arrays, in the textbook formula's operation order, so they
+    round exactly as the out-of-place formula does.
     """
 
     beta1, beta2, epsilon = 0.9, 0.999, 1e-8
@@ -113,17 +112,10 @@ class Adam:
             raise ConfigError("learning_rate must be > 0")
         self.learning_rate = learning_rate
         self.slots: dict = {}
-        self._scratch = np.empty(0)
-
-    def _temporaries(self, shape) -> tuple:
-        size = math.prod(shape)
-        if self._scratch.size < 2 * size:
-            self._scratch = np.empty(2 * size)
-        return self._scratch[:size].reshape(shape), self._scratch[size : 2 * size].reshape(shape)
 
     def step(self, params: dict, grads: dict) -> None:
         """Apply one Adam update to every tensor present in ``grads``."""
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps, lr = self.beta1, self.beta2, self.epsilon, self.learning_rate
         for name, g in grads.items():
             p = params[name]
             if p.shape != g.shape:
@@ -132,25 +124,12 @@ class Adam:
             if slot is None:
                 slot = self.slots[name] = _AdamSlot(m=np.zeros_like(p), v=np.zeros_like(p))
             slot.t += 1
-            m, v = slot.m, slot.v
-            step, scale = self._temporaries(p.shape)
-            # m = b1 * m + (1 - b1) * g
-            np.multiply(m, b1, out=m)
-            np.multiply(g, 1.0 - b1, out=step)
-            np.add(m, step, out=m)
-            # v = b2 * v + (1 - b2) * (g * g)
-            np.multiply(g, g, out=step)
-            np.multiply(step, 1.0 - b2, out=step)
-            np.multiply(v, b2, out=v)
-            np.add(v, step, out=v)
-            # p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
-            np.divide(v, 1.0 - b2 ** slot.t, out=scale)
-            np.sqrt(scale, out=scale)
-            np.add(scale, self.epsilon, out=scale)
-            np.divide(m, 1.0 - b1 ** slot.t, out=step)
-            np.multiply(step, self.learning_rate, out=step)
-            np.divide(step, scale, out=step)
-            p -= step
+            m, v, t = slot.m, slot.v, slot.t
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * (g * g)
+            p -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
 
 
 def proximal_l1(h: np.ndarray, threshold: float) -> np.ndarray:

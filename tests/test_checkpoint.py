@@ -1,4 +1,5 @@
 import hashlib
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -139,4 +140,24 @@ def test_unknown_flags_are_data_error(tmp_path):
     raw[flags_at] = 2
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError, match="flags"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("case, problem", [("trailing_byte", "trailing bytes"),
+                                           ("tensor_twice", "stores tensor h_t twice")])
+def test_corrupt_layout_is_data_error(case, problem, tmp_path):
+    model = build("conet")
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    if case == "trailing_byte":
+        raw += b"\x00"
+    else:  # the last tensor written again, the tensor count raised to match
+        record = {n: 2 + len(n) + 16 + 8 * a.size for n, a in model.params.items()}
+        count_at = len(raw) - sum(record.values()) - 4
+        (count,) = struct.unpack_from("<I", raw, count_at)
+        last = raw[-record[max(record)]:]
+        raw = raw[:count_at] + struct.pack("<I", count + 1) + raw[count_at + 4:] + last
+    path.write_bytes(raw)
+    with pytest.raises(DataError, match=problem):
         load_checkpoint(path)

@@ -48,6 +48,21 @@ def train(tmp_path, data_dir, arch="sconet", seed=0, extra=()):
     return code, out
 
 
+def run_limited(argv, timeout=120):
+    """``conet`` in a child that may address 3 GiB, so a runaway request kills it, not pytest."""
+    src = str(Path(conet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "conet.cli", *argv], env=env, capture_output=True, text=True,
+        timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)))
+
+
+def data_inputs(data):
+    return ["--target", str(data / "target.tsv"), "--source", str(data / "source.tsv")]
+
+
 class TestRunConfig:
     def test_file_plus_overrides(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -398,12 +413,18 @@ class TestSparsityReport:
         assert [r["matrix"] for r in record["per_matrix"]] == ["H_0", "H_1"]
         assert len(record["per_epoch"]) == 2
 
-    def test_architecture_without_h_errors(self, tmp_path):
+    def test_architecture_without_h_errors(self, tmp_path, capsys):
         data = generate(tmp_path)
         _, run = train(tmp_path, data, arch="mlp")
         code = main(["sparsity-report", "--checkpoint", str(run / "model.ckpt"),
                      "--out", str(tmp_path / "sp2")])
         assert code == 2
+        capsys.readouterr()
+        code = main(["sparsity-report", "--history", str(run / "history.jsonl"),
+                     "--out", str(tmp_path / "sp2")])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: history has no transfer-matrix sparsity "
+                                           "series (architecture without cross connections)\n")
 
     def test_needs_an_input(self, tmp_path):
         assert main(["sparsity-report", "--out", str(tmp_path / "sp3")]) == 2
@@ -418,7 +439,7 @@ class TestMalformedInput:
         assert len(err) == 1 and err[0].startswith("error: ")
 
     @pytest.mark.parametrize("flag,value", [("--epochs", "abc"), ("--hidden-widths", "8,x"),
-                                            ("--lasso-lambda", "lots")])
+                                            ("--lasso-lambda", "lots"), ("--mrr-uncut", "maybe")])
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, flag, value):
         code = main(["train", flag, value, "--out", str(tmp_path / "o")])
         self.assert_one_line_error(capsys, code, 2)
@@ -452,6 +473,23 @@ class TestMalformedInput:
                      "--out", str(tmp_path / "o")])
         self.assert_one_line_error(capsys, code, 2)
 
+    @pytest.mark.parametrize("argv,inputs,message", [
+        (["train"], False, "this command needs --target and --source"),
+        (["evaluate", "--checkpoint", "model.ckpt"], False, "evaluate needs --split"),
+        (["compare", "--archs", "mlp,conet", "--baseline", "csn", *NET_FLAGS], True,
+         "baseline 'csn' is not among the compared architectures"),
+    ], ids=["train-without-inputs", "evaluate-without-split", "baseline-not-compared"])
+    def test_missing_input_or_stray_baseline_is_config_error(self, tmp_path, capsys, frozen_run,
+                                                              argv, inputs, message):
+        data, _ = frozen_run
+        capsys.readouterr()
+        out = tmp_path / "o"
+        code = main([*argv, *(data_inputs(data) if inputs else []), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not (out / "study.json").exists()
+
     @pytest.mark.parametrize("verb,flag,value", [("train", "--workers", "-3"),
                                                  ("compare", "--workers", "0"),
                                                  ("train", "--min-user-interactions", "-4")])
@@ -472,31 +510,34 @@ class TestMalformedInput:
         ["train", "--negative-ratio", "1000000000"],
         ["generate", "--users", "100000000"],
         # Sizes whose byte count numpy cannot describe, or a C long cannot hold.
-        ["train", "--negative-ratio", str(10 ** 18)],
-        ["train", "--negative-ratio", str(10 ** 30)],
         ["train", "--embedding-dim", "4", "--hidden-widths", f"8,{10 ** 18}"],
         ["generate", "--users", str(10 ** 18)],
         ["generate", "--users", str(10 ** 10), "--latent-dim", str(10 ** 10)],
         ["generate", "--users", str(10 ** 30)],
-    ], ids=["embedding-tables", "negatives", "generated-users", "negatives-too-big",
-            "negatives-overflow", "width-too-big", "generated-users-too-big",
-            "latent-factors-too-big", "generated-users-too-many-dims"])
+    ], ids=["embedding-tables", "negatives", "generated-users", "width-too-big",
+            "generated-users-too-big", "latent-factors-too-big", "generated-users-too-many-dims"])
     def test_out_of_memory_is_one_line_and_exit_2(self, tmp_path, frozen_run, argv):
         # Each run asks for 6 to 715 GiB. The child may address 3 GiB, so
         # the allocation fails at once; the limit binds the child alone.
         data, _ = frozen_run
-        inputs = ["--target", str(data / "target.tsv"), "--source", str(data / "source.tsv")]
-        src = str(Path(conet.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run(
-            [sys.executable, "-m", "conet.cli", *argv, *(inputs if argv[0] == "train" else []),
-             "--out", str(tmp_path / "o")],
-            env=env, capture_output=True, text=True, timeout=120,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)))
+        done = run_limited([*argv, *(data_inputs(data) if argv[0] == "train" else []),
+                            "--out", str(tmp_path / "o")])
         assert done.returncode == 2
         err = done.stderr.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: out of memory: ")
+
+    @pytest.mark.parametrize("ratio", [2 ** 62, 10 ** 17, 2 ** 63 - 1, 10 ** 18, 10 ** 30],
+                             ids=["wraps-to-a-small-buffer", "wraps-negative", "int64-max",
+                                  "negatives-too-big", "negatives-overflow"])
+    def test_huge_negative_ratio_is_one_line_and_exit_2(self, tmp_path, frozen_run, ratio):
+        # A batch's example count past int64 wraps inside numpy's repeat: a
+        # small wrapped count let it write past its buffer (a segfault).
+        data, _ = frozen_run
+        done = run_limited(["train", "--negative-ratio", str(ratio), *data_inputs(data),
+                            "--out", str(tmp_path / "o")])
+        assert done.returncode == 2
+        err = done.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: negative_ratio {ratio} ")
 
     @pytest.mark.parametrize("rate", ["1e300", "1e30"])
     def test_divergence_is_one_line_and_exit_4(self, tmp_path, capfd, rate):
@@ -742,6 +783,37 @@ def frozen_run(tmp_path_factory):
     code, run = train(tmp_path, data, extra=["--epochs", "0"])
     assert code == 0
     return data, run
+
+
+# Every numeric flag, each sent through a verb that reads it; --workers
+# goes through train, where only its range check reads it. A huge epoch or
+# patience count is a legitimately long run, and a seed sizes nothing.
+NUMERIC_FLAGS = {
+    "train": ("embedding-dim", "hidden-widths", "lasso-lambda", "learning-rate", "batch-size",
+              "negative-ratio", "epochs", "patience", "seed", "workers", "min-user-interactions"),
+    "generate": ("users", "items-target", "items-source", "latent-dim", "relatedness",
+                 "target-density", "source-density"),
+    "evaluate": ("top-n",),
+}
+HUGE = (str(10 ** 9), str(2 ** 62), str(10 ** 18))
+FLAG_CASES = [(verb, flag, value) for verb, flags in NUMERIC_FLAGS.items() for flag in flags
+              for value in ("0", "-1", *HUGE, "nan", "1e3")
+              if not (flag in ("epochs", "patience", "seed") and value in HUGE)]
+
+
+@pytest.mark.parametrize("verb,flag,value", FLAG_CASES,
+                         ids=[f"{flag}={value}" for _, flag, value in FLAG_CASES])
+def test_numeric_flag_exits_0_or_one_line_error(tmp_path, frozen_run, verb, flag, value):
+    """One child per flag and value: exit 0, or 2, 3 or 4 with one stderr line, never a crash."""
+    data, run = frozen_run
+    base = {"train": [*NET_FLAGS, "--epochs", "1", *data_inputs(data)],
+            "generate": GEN_FLAGS,
+            "evaluate": ["--checkpoint", str(run / "model.ckpt"),
+                         "--split", str(run / "split.json"), *data_inputs(data)]}[verb]
+    done = run_limited([verb, *base, f"--{flag}={value}", "--out", str(tmp_path / "o")],
+                       timeout=60)
+    assert done.returncode in (0, 2, 3, 4), done.stderr
+    assert done.returncode == 0 or len(done.stderr.strip().splitlines()) == 1, done.stderr
 
 
 PATH_FLAGS = {

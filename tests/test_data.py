@@ -66,6 +66,10 @@ class TestInteractionDataset:
         with pytest.raises(DataError, match=problem):
             make_dataset(adjacency, 4)
 
+    def test_rejects_zero_users(self):
+        with pytest.raises(DataError, match="at least one user and one item"):
+            InteractionDataset.from_pairs(0, 4, [], [], [], list("wxyz"))
+
     def test_contains_and_without(self):
         ds = make_dataset([[1, 3], [], [0]], 4)
         assert ds.contains([0, 0, 1, 2, 2], [1, 2, 1, 0, 3]).tolist() == [
@@ -200,6 +204,10 @@ class TestAlignDomains:
         s = from_adjacency(2, 2, [[0], [1]], user_ids=["x", "y"], item_ids=["a", "b"])
         with pytest.raises(DataError):
             align_domains(t, s)
+
+    def test_domains_over_different_user_counts_are_refused(self):
+        with pytest.raises(DataError, match="share the same user set"):
+            CrossDomainDataset(target=make_dataset([[0], [1]], 2), source=make_dataset([[0]], 2))
 
     def test_identical_user_sets(self):
         t = make_dataset([[0, 1], [1]], 2)
@@ -371,6 +379,11 @@ class TestEpochBatches:
             next(epoch_batches(dataset, "source", 4, 1, derive_rng(0, "b")))
         assert len(list(epoch_batches(dataset, "source", 4, 0, derive_rng(0, "b")))) == 1
 
+    def test_domain_without_interactions_is_data_error(self):
+        dataset = make_dataset([[], []], 3)
+        with pytest.raises(DataError, match="source domain has no training interactions"):
+            next(epoch_batches(dataset, "source", 4, 1, derive_rng(0, "b")))
+
     def test_to_examples_view(self):
         data = small_cross_domain()
         batch = next(epoch_batches(data.target, "target", 4, 1, derive_rng(3, "b")))
@@ -437,12 +450,22 @@ class TestGenerateSynthetic:
             SyntheticConfig(num_items_target=150, target_density=0.05)
 
     @pytest.mark.parametrize("change", [{"num_users": 0}, {"latent_dim": 0},
-                                        {"relatedness": 1.5}, {"target_density": 0.0}])
+                                        {"relatedness": 1.5}, {"target_density": 0.0},
+                                        {"num_items_target": 10, "target_density": 0.01}])
     def test_bad_value_rejected_when_built_and_through_replace(self, change):
         with pytest.raises(ConfigError):
             SyntheticConfig(**change)
         with pytest.raises(ConfigError):
             dataclasses.replace(SyntheticConfig(), **change)
+
+    def test_item_nobody_can_give_up_goes_to_the_best_scoring_user(self):
+        # One user picks 2 of 4 items and holds no item anyone else holds,
+        # so each unpicked item joins its set without a swap.
+        data = generate_synthetic(SyntheticConfig(num_users=1, num_items_target=4,
+                                                  num_items_source=4, target_density=0.5,
+                                                  source_density=0.5))
+        for domain in (data.target, data.source):
+            assert domain.num_items == 4 and domain.items_of(0).tolist() == [0, 1, 2, 3]
 
     # sha256 of the keys and ids of the default-sized data sets that
     # acceptance criteria 4, 5, 7 and 8 train on, recorded when the generator
@@ -553,7 +576,7 @@ class TestSplitManifest:
         "negative_out_of_range", "float_negative", "short_negatives",
         "user_out_of_range", "same_item_held_twice", "held_item_not_interacted",
         "interacted_negative", "not_json", "no_users", "zero_padded_user", "spaced_user",
-        "repeated_user", "huge_user",
+        "repeated_user", "huge_user", "zero_padded_everywhere", "listed_partition",
     ])
     def test_rejects_malformed_manifest(self, tmp_path, case):
         data = small_cross_domain()
@@ -591,6 +614,11 @@ class TestSplitManifest:
         elif case == "huge_user":  # an index beyond int64, in every partition
             for key in ("test", "validation", "eval_negatives"):
                 manifest[key][str(10 ** 20)] = manifest[key].pop(user)
+        elif case == "zero_padded_everywhere":  # partitions agree, so the key itself is refused
+            for key in ("test", "validation", "eval_negatives"):
+                manifest[key]["0" + user] = manifest[key].pop(user)
+        elif case == "listed_partition":
+            manifest["test"] = list(manifest["test"].values())
         elif case in ("zero_padded_user", "spaced_user"):
             alias = "0" + user if case == "zero_padded_user" else f" {user}"
             manifest["validation"][alias] = manifest["validation"].pop(user)
@@ -598,7 +626,9 @@ class TestSplitManifest:
         if case == "repeated_user":  # json.dumps cannot repeat a key
             text = text.replace('"test": {', f'"test": {{"{user}": {held}, ', 1)
         path.write_text(text)
-        with pytest.raises(DataError):
+        problem = {"zero_padded_everywhere": "is not written as an index",
+                   "listed_partition": "partitions must map user indices"}.get(case)
+        with pytest.raises(DataError, match=problem):
             load_split_manifest(data, path)
 
     @pytest.mark.parametrize("partition", ["test", "validation", "eval_negatives"])

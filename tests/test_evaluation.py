@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conet.data import CrossDomainDataset, LooSplit, SyntheticConfig, generate_synthetic, loo_split
-from conet.errors import DataError, NumericError
+from conet.errors import ConfigError, DataError, NumericError
 from conet.evaluation import (
     MetricsReport,
     evaluate,
@@ -242,6 +242,15 @@ class TestEvaluate:
         with pytest.raises(UnicodeDecodeError) as caught:
             evaluate(Broken(), small_split)
         assert caught.value is error
+
+    def test_unknown_partition_is_config_error(self, small_split):
+        with pytest.raises(ConfigError, match="unknown partition 'users'"):
+            evaluate(_ConstantScorer(), small_split, partition="users")
+
+    def test_scores_of_the_wrong_shape_are_data_error(self, small_split):
+        scores = np.zeros((small_split.users.size, 99))
+        with pytest.raises(DataError, match=r"shape \(\d+, 99\) for candidates of shape"):
+            evaluate(_FixedScorer(scores), small_split)
 
     def test_no_evaluated_users_is_data_error(self):
         # The split refuses to exist, so no scorer is ever asked to rank nobody.

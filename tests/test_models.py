@@ -56,7 +56,8 @@ class TestModelConfig:
             ModelConfig(architecture="conet", lasso_lambda=lam)
 
     @pytest.mark.parametrize("change", [{"architecture": "gcn"}, {"embedding_dim": 0},
-                                        {"hidden_widths": ()}, {"lasso_lambda": -1.0},
+                                        {"hidden_widths": ()}, {"hidden_widths": (64, 0)},
+                                        {"lasso_lambda": -1.0},
                                         {"share_user_embedding": False}])
     def test_bad_value_rejected_when_built_and_through_replace(self, change):
         with pytest.raises(ConfigError):

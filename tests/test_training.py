@@ -164,6 +164,10 @@ class TestAdam:
         assert opt.slots["a"].t == 2
         assert opt.slots["b"].t == 1
 
+    def test_learning_rate_must_be_positive(self):
+        with pytest.raises(ConfigError, match="learning_rate must be > 0"):
+            Adam(0.0)
+
     def test_shape_mismatch(self):
         opt = Adam(0.001)
         with pytest.raises(ConfigError):
