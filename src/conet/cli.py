@@ -172,10 +172,6 @@ def resolve_out_dir(config: RunConfig, command: str) -> Path:
     return path
 
 
-def write_json(path: Path, obj) -> None:
-    dataio.write_atomic(path, json.dumps(obj, indent=1) + "\n")
-
-
 def _echo_config(config: RunConfig, out_dir: Path) -> None:
     dataio.write_atomic(out_dir / "config.txt", config.to_flat_text())
 
@@ -218,7 +214,7 @@ def cmd_generate(config: RunConfig, args, out_dir: Path) -> None:
         "target": domain(data.target, syn.target_density),
         "source": domain(data.source, syn.source_density),
     }
-    write_json(out_dir / "manifest.json", manifest)
+    dataio.write_json(out_dir / "manifest.json", manifest)
     print(f"wrote {out_dir / 'target.tsv'}, {out_dir / 'source.tsv'}")
 
 
@@ -248,7 +244,7 @@ def cmd_train(config: RunConfig, args, out_dir: Path) -> None:
             "val_ndcg": best.val_ndcg,
             "val_mrr": best.val_mrr,
         })
-    write_json(out_dir / "summary.json", summary)
+    dataio.write_json(out_dir / "summary.json", summary)
     if stats:
         last = stats[-1]
         print(f"trained {len(stats)} epochs; "
@@ -276,7 +272,7 @@ def cmd_evaluate(config: RunConfig, args, out_dir: Path) -> None:
                       top_n=config.top_n, mrr_uncut=config.mrr_uncut)
     record = report.to_jsonable(model=model.config.architecture,
                                 dataset=_dataset_name(config))
-    write_json(out_dir / "metrics.json", record)
+    dataio.write_json(out_dir / "metrics.json", record)
     print(f"{args.partition}: HR={report.hr:.4f} NDCG={report.ndcg:.4f} MRR={report.mrr:.4f} "
           f"({report.num_evaluated_users} users)")
 
@@ -286,7 +282,7 @@ def cmd_study(config: RunConfig, args, out_dir: Path) -> None:
     extra = {"baseline": args.baseline} if "baseline" in args else {}
     report = args.study(_load_split(config), args.arms, config.base_model_config(),
                         config.train_config(), workers=config.workers, **extra)
-    write_json(out_dir / "study.json", report.to_jsonable())
+    dataio.write_json(out_dir / "study.json", report.to_jsonable())
     print(report.format_table())
     if report.summary:
         print(json.dumps(report.summary))
@@ -315,7 +311,7 @@ def cmd_sparsity_report(config: RunConfig, args, out_dir: Path) -> None:
             raise ConfigError("history has no transfer-matrix sparsity series "
                               "(architecture without cross connections)")
         record["per_epoch"] = series
-    write_json(out_dir / "sparsity.json", record)
+    dataio.write_json(out_dir / "sparsity.json", record)
     if "per_matrix" in record:
         print(f"{'matrix':<8} {'shape':>12} {'zero ratio':>12}")
         for row in record["per_matrix"]:

@@ -22,6 +22,7 @@ import os
 import re
 from dataclasses import dataclass, replace
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator
 
@@ -40,6 +41,7 @@ __all__ = [
     "load_interactions",
     "write_interactions",
     "write_atomic",
+    "write_json",
     "align_domains",
     "loo_split",
     "sample_eval_negatives",
@@ -105,6 +107,16 @@ class InteractionDataset:
 
     def items_of(self, user: int) -> np.ndarray:
         return self.indices[self.indptr[user] : self.indptr[user + 1]]
+
+    def pick_items(self, users: np.ndarray, rng=None) -> np.ndarray:
+        """Each user's item, uniform on ``rng`` or the smallest; -1 (no draw) if it has none."""
+        starts = self.indptr[users]
+        degrees = self.indptr[users + 1] - starts
+        held = degrees > 0
+        offsets = starts[held] if rng is None else starts[held] + rng.integers(degrees[held])
+        picked = np.full(users.size, -1, dtype=np.int64)
+        picked[held] = self.indices[offsets]
+        return picked
 
     def pairs(self) -> np.ndarray:
         """All (user, item) pairs, user-major, items ascending. Shape (N, 2)."""
@@ -565,38 +577,47 @@ def reduce_training(split: LooSplit, per_user_removal: int, rng: np.random.Gener
 
 
 # ---------------------------------------------------------------------------
-# Split manifest (freeze a split across runs)
+# JSON artifacts and the split manifest (freeze a split across runs)
 
 
-def _json_block(open_, close, entries, depth) -> str:
-    # ``entries`` laid out as ``json.dump(..., indent=1)`` lays out a
-    # non-empty container at nesting ``depth``: one entry per line.
-    pad = "\n" + " " * (depth + 1)
-    return open_ + pad + ("," + pad).join(entries) + "\n" + " " * depth + close
+def _json_text(value, pad: str) -> str:
+    # ``value`` as ``json.dumps(value, indent=1)`` lays it out on a line
+    # that ``pad`` (a newline and the line's indent) starts. Entries that
+    # are ints skip the call: a manifest holds about 100,000 of them.
+    if type(value) is int:
+        return str(value)
+    inner = pad + " "
+    if isinstance(value, dict) and value:
+        entries = [f"{encode_basestring_ascii(k)}: "
+                   + (str(v) if type(v) is int else _json_text(v, inner)) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(entries) + pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        entries = [str(v) if type(v) is int else _json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(entries) + pad + "]"
+    return json.dumps(value)
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` (string-keyed dicts, lists, tuples, JSON scalars) as JSON.
+
+    The text is byte for byte what ``json.dump(obj, fh, indent=1)``
+    writes, plus a final newline, laid out without the stdlib's
+    pure-Python indenting encoder.
+    """
+    write_atomic(path, _json_text(obj, "\n") + "\n")
 
 
 def save_split_manifest(split: LooSplit, path) -> None:
-    """Write the held-out items and frozen negatives as JSON.
-
-    The text is byte for byte what ``json.dump(manifest, fh, indent=1)``
-    writes, plus a final newline, built without the per-element encoder.
-    """
-    users = split.users.tolist()
-
-    def held_out(items):
-        return _json_block("{", "}", [f'"{u}": {i}' for u, i in zip(users, items.tolist())], 1)
-
-    blocks = [f'"{u}": ' + _json_block("[", "]", list(map(str, row)), 2)
-              for u, row in zip(users, split.eval_negatives.tolist())]
-    text = _json_block("{", "}", [
-        f'"num_users": {int(split.train.num_users)}',
-        f'"num_items_target": {int(split.train.target.num_items)}',
-        f'"num_items_source": {int(split.train.source.num_items)}',
-        f'"test": {held_out(split.test)}',
-        f'"validation": {held_out(split.validation)}',
-        f'"eval_negatives": ' + _json_block("{", "}", blocks, 1),
-    ], 0)
-    write_atomic(path, text + "\n")
+    """Write the held-out items and frozen negatives as JSON."""
+    users = list(map(str, split.users.tolist()))
+    write_json(path, {
+        "num_users": int(split.train.num_users),
+        "num_items_target": int(split.train.target.num_items),
+        "num_items_source": int(split.train.source.num_items),
+        "test": dict(zip(users, split.test.tolist())),
+        "validation": dict(zip(users, split.validation.tolist())),
+        "eval_negatives": dict(zip(users, split.eval_negatives.tolist())),
+    })
 
 
 _MANIFEST_KEYS = ("num_users", "num_items_target", "num_items_source",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .numerics import INIT_STD, derive_rng, sigmoid
 
 __all__ = [
@@ -160,23 +160,29 @@ def _coupling_names(config: ModelConfig) -> list:
     return [f"{tag}_{k}" for k in range(config.num_transfer_matrices)] if tag else []
 
 
-def _param_shapes(config: ModelConfig, sizes: DomainSizes) -> dict:
+def _layout(config: ModelConfig, sizes: DomainSizes) -> list:
+    """Each tensor's ``(name, shape, stream, scale)`` in creation order; ``build_model``
+    draws it from ``N(0, scale^2)`` on that init stream, or with no stream fills in ``scale``."""
     d = config.embedding_dim
     widths = config.hidden_widths
     towers = _towers(config)
-    shapes = {tower.user: (sizes.num_users, d) for tower in towers}
+    layout = [(name, (sizes.num_users, d), name, INIT_STD)
+              for name in dict.fromkeys(tower.user for tower in towers)]
     for tower in towers:
         num_items = sizes.num_items_target if tower.domain == "target" else sizes.num_items_source
-        shapes[tower.items] = (num_items, d)
+        layout.append((tower.items, (num_items, d), f"Q_{tower.domain[0]}", INIT_STD))
     for tower in towers:
+        # One weight matrix per layer, output weight last.
+        stream = f"tower_{tower.domain[0]}"
         for weight, bias, w, fan_in in zip(tower.weights, tower.biases, widths,
                                            (2 * d,) + tuple(widths[:-1])):
-            shapes[weight] = (w, fan_in)
-            shapes[bias] = (w,)
-        shapes[tower.out] = (widths[-1],)
+            layout += [(weight, (w, fan_in), stream, np.sqrt(2.0 / fan_in)),
+                       (bias, (w,), None, 0.0)]
+        layout.append((tower.out, (widths[-1],), stream, np.sqrt(1.0 / widths[-1])))
     for k, name in enumerate(_coupling_names(config)):
-        shapes[name] = (widths[k + 1], widths[k]) if name.startswith("H_") else (2,)
-    return shapes
+        layout.append((name, (widths[k + 1], widths[k]), "H", INIT_STD) if name.startswith("H_")
+                      else (name, (2,), None, CSN_ALPHA_INIT))
+    return layout
 
 
 # ---------------------------------------------------------------------------
@@ -195,31 +201,11 @@ def build_model(config: ModelConfig, sizes: DomainSizes, seed: int) -> "Model":
     Every tensor family draws from its own named stream, so the target
     tower of every architecture starts from the same values.
     """
-    shapes = _param_shapes(config, sizes)
-    towers = _towers(config)
-    # Tensors are created in the order of ``shapes``: user tables, item
-    # tables, towers, coupling.
-    params: dict = {}
-    for name in dict.fromkeys(tower.user for tower in towers):
-        params[name] = derive_rng(seed, "init", name).normal(0.0, INIT_STD, size=shapes[name])
-    for tower in towers:
-        rng = derive_rng(seed, "init", f"Q_{tower.domain[0]}")
-        params[tower.items] = rng.normal(0.0, INIT_STD, size=shapes[tower.items])
-    for tower in towers:
-        # Draw order is fixed: one weight matrix per layer, output weight last.
-        rng = derive_rng(seed, "init", f"tower_{tower.domain[0]}")
-        for weight, bias in zip(tower.weights, tower.biases):
-            rows, fan_in = shapes[weight]
-            params[weight] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(rows, fan_in))
-            params[bias] = np.zeros(rows)
-        width = shapes[tower.out][0]
-        params[tower.out] = rng.normal(0.0, np.sqrt(1.0 / width), size=width)
-    rng = derive_rng(seed, "init", "H")
-    for name in _coupling_names(config):
-        if name.startswith("H_"):
-            params[name] = rng.normal(0.0, INIT_STD, size=shapes[name])
-        else:
-            params[name] = np.asarray(CSN_ALPHA_INIT, dtype=np.float64)
+    layout = _layout(config, sizes)
+    streams = {s: derive_rng(seed, "init", s) for s in {s for _, _, s, _ in layout} - {None}}
+    params = {name: np.full(shape, scale) if stream is None
+              else streams[stream].normal(0.0, scale, size=shape)
+              for name, shape, stream, scale in layout}
     return Model(config, sizes, params)
 
 
@@ -294,7 +280,7 @@ class Model:
                 self.dual and sizes.num_items_source < 1):
             raise ConfigError(f"{self.architecture} needs at least one user and one item "
                               f"in each of its domains {self.domains}")
-        expected = _param_shapes(config, sizes)
+        expected = {name: shape for name, shape, _, _ in _layout(config, sizes)}
         if set(params) != set(expected):
             raise ConfigError(f"{self.architecture} parameter set mismatch: "
                               f"{sorted(set(params) ^ set(expected))}")
@@ -508,7 +494,8 @@ class Model:
         + b_0`` and its item's row of ``Q W_0[:, d:]^T``, halves computed
         once per call over whole tables so that a row's bits do not depend
         on the users sharing the call. Each item half starts with a zero
-        row, which the sentinel -1 reads.
+        row, which the sentinel -1 reads. An overflow, an invalid operation
+        or a non-finite logit raises :class:`NumericError`, never a warning.
         """
         users = _as_index_array(users)
         candidates = np.asarray(candidates, dtype=np.int64).reshape(users.size, -1)
@@ -519,15 +506,22 @@ class Model:
         scores = np.empty(candidates.shape)
         d, p = self.config.embedding_dim, self.params
         coupled = self.coupling and len(self.config.hidden_widths) > 1  # source reaches target
-        halves = []
-        for t in self.towers if coupled else self.towers[:1]:
-            w = p[t.weights[0]]
-            item_half = np.zeros((p[t.items].shape[0] + 1, w.shape[0]))
-            item_half[1:] = p[t.items] @ w[:, d:].T
-            halves.append((p[t.user] @ w[:, :d].T + p[t.biases[0]], item_half))
-        for start in range(0, users.size, step):
-            chunk = slice(start, start + step)
-            trace = self.forward_batch(np.repeat(users[chunk], per_user),
-                                       candidates[chunk].ravel(), sources[chunk], halves=halves)
-            scores[chunk] = trace.probs[0].reshape(-1, per_user)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                halves = []
+                for t in self.towers if coupled else self.towers[:1]:
+                    w = p[t.weights[0]]
+                    item_half = np.zeros((p[t.items].shape[0] + 1, w.shape[0]))
+                    item_half[1:] = p[t.items] @ w[:, d:].T
+                    halves.append((p[t.user] @ w[:, :d].T + p[t.biases[0]], item_half))
+                for start in range(0, users.size, step):
+                    chunk = slice(start, start + step)
+                    trace = self.forward_batch(np.repeat(users[chunk], per_user),
+                                               candidates[chunk].ravel(), sources[chunk],
+                                               halves=halves)
+                    if not np.isfinite(trace.logits[0]).all():
+                        raise FloatingPointError("non-finite logit")
+                    scores[chunk] = trace.probs[0].reshape(-1, per_user)
+        except FloatingPointError as exc:
+            raise NumericError(f"scoring diverged: {exc}") from exc
         return scores

@@ -216,7 +216,6 @@ def sparsity_table(model) -> list:
             f"architecture {model.config.architecture!r} has no transfer matrices"
         )
     return [
-        {"matrix": f"H_{k}", "rows": h.shape[0], "cols": h.shape[1],
-         "zero_ratio": sparsity_ratio(h)}
-        for k, h in enumerate(matrices)
+        {"matrix": name, "rows": h.shape[0], "cols": h.shape[1], "zero_ratio": sparsity_ratio(h)}
+        for name, h in zip(model.coupling_names, matrices)
     ]

@@ -201,12 +201,7 @@ class ModelScorer:
     def score_items(self, users, candidates) -> np.ndarray:
         """Probabilities ``(U, C)`` of each user's row of candidate items."""
         users = np.asarray(users, dtype=np.int64)
-        sources = None
-        if self.model.dual:
-            indptr = self.source_train.indptr
-            held = indptr[users + 1] > indptr[users]
-            sources = np.full(users.size, -1, dtype=np.int64)
-            sources[held] = self.source_train.indices[indptr[users[held]]]
+        sources = self.source_train.pick_items(users) if self.model.dual else None
         return self.model.score_candidates(users, candidates, sources)
 
 
@@ -234,10 +229,7 @@ class Trainer:
         self.config = config
         self.optimizer = Adam(config.learning_rate)
         self._epoch = 0
-        self._pair_rng = {
-            "target": derive_rng(config.seed, "pairing", "target"),
-            "source": derive_rng(config.seed, "pairing", "source"),
-        }
+        self._pair_rng = {d: derive_rng(config.seed, "pairing", d) for d in ("target", "source")}
         self._iters = {domain: self._cycle(domain) for domain in model.domains}
 
     def _dataset(self, domain: str):
@@ -254,16 +246,11 @@ class Trainer:
         # For a target batch, pick one source item per example (and vice
         # versa) so the coupled forward pass has both inputs: uniform over
         # the user's interactions there, or the sentinel -1 (a zero item
-        # half) for a user without history there, who takes no draw.
+        # half) for a user without history there.
         other = self.split.train.source if domain == "target" else self.split.train.target
-        starts = other.indptr[users]
-        degrees = other.indptr[users + 1] - starts
-        held = degrees > 0
-        paired = np.full(users.size, -1, dtype=np.int64)
-        paired[held] = other.indices[starts[held] + self._pair_rng[domain].integers(degrees[held])]
-        return paired
+        return other.pick_items(users, self._pair_rng[domain])
 
-    def _train_step(self, domain: str, step: int) -> tuple:
+    def _train_step(self, domain: str) -> tuple:
         model = self.model
         batch = next(self._iters[domain])
         items = [batch.items if d == domain else self._paired_items(domain, batch.users)
@@ -273,9 +260,7 @@ class Trainer:
         loss = cross_entropy_from_logits(trace.logits[model.domains.index(domain)], batch.labels)
         grads = model.backward_batch(trace, *labels, wanted=model.groups[domain])
         if not math.isfinite(loss):
-            raise NumericError(
-                f"non-finite training loss at epoch {self._epoch}, step {step} ({domain} batch)"
-            )
+            raise FloatingPointError("non-finite training loss")
         self.optimizer.step(model.params, grads)
         lam = model.config.lasso_lambda
         if lam > 0:
@@ -287,11 +272,11 @@ class Trainer:
     def train_epoch(self) -> EpochStats:
         """One alternating pass; returns losses, validation metrics, sparsity.
 
-        An overflow, invalid operation or division by zero in a step raises
-        :class:`NumericError` naming the epoch, step and domain. Underflow
-        stays silent: ``sigmoid`` and the softplus underflow legitimately.
-        Validation keeps numpy's default error state: raising there made
-        concurrent study arms rank more slowly.
+        An overflow, invalid operation or division by zero in a step, or a
+        non-finite loss, raises :class:`NumericError` naming the epoch,
+        step and domain. Underflow stays silent: ``sigmoid`` and the
+        softplus underflow legitimately. Validation scoring raises its own
+        (see ``Model.score_candidates``).
         """
         model = self.model
         cfg = self.config
@@ -303,7 +288,7 @@ class Trainer:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 for step in range(steps):
                     for domain in model.domains:
-                        loss, n = self._train_step(domain, step)
+                        loss, n = self._train_step(domain)
                         sums[domain] += loss
                         counts[domain] += n
         except FloatingPointError as exc:

@@ -404,9 +404,13 @@ class TestSparsityReport:
         data = generate(tmp_path)
         _, run = train(tmp_path, data)
         out = tmp_path / "sp"
+        # A blank line in the history is skipped.
+        history = tmp_path / "history.jsonl"
+        first, *rest = (run / "history.jsonl").read_text().splitlines(keepends=True)
+        history.write_text(first + "\n" + "".join(rest))
         code = main([
             "sparsity-report", "--checkpoint", str(run / "model.ckpt"),
-            "--history", str(run / "history.jsonl"), "--out", str(out),
+            "--history", str(history), "--out", str(out),
         ])
         assert code == 0
         record = json.loads((out / "sparsity.json").read_text())
@@ -555,6 +559,52 @@ class TestMalformedInput:
         err = capfd.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(
             "error: numeric divergence at epoch 1, step 0 (source batch): overflow encountered")
+
+    # The 60-user set on which an overflow first appears while ranking.
+    OVERFLOW_DATA = ["--users", "60", "--items-target", "200", "--items-source", "200",
+                     "--latent-dim", "4", "--target-density", "0.05", "--source-density", "0.05"]
+
+    def run_warning_free(self, capfd, argv):
+        """``main(argv)``'s exit code and stderr lines; fails on any warning it gives."""
+        capfd.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert [str(w.message) for w in caught] == []
+        return code, capfd.readouterr().err.strip().splitlines()
+
+    def test_overflow_first_in_validation_is_one_line_and_exit_4(self, tmp_path, capfd):
+        # The one full-batch step stays finite; ranking the validation users overflows.
+        data = tmp_path / "data"
+        assert main(["generate", *self.OVERFLOW_DATA, "--out", str(data)]) == 0
+        code, err = self.run_warning_free(capfd, [
+            "train", "--architecture", "mlp", "--batch-size", "100000", "--learning-rate",
+            "1e200", "--epochs", "2", "--embedding-dim", "4", "--hidden-widths", "8",
+            *data_inputs(data), "--out", str(tmp_path / "o")])
+        assert code == 4
+        # The architecture note prints before training starts.
+        assert err[0] == "note: architecture mlp ignores the source domain during training"
+        assert len(err[1:]) == 1 and err[1].startswith(
+            "error: scorer failed for the 60 validation users: scoring diverged: overflow")
+
+    def test_saturating_overflow_in_evaluate_is_one_line_and_exit_4(self, tmp_path, capfd):
+        # The logits overflow to +-inf, which the sigmoid saturates to 0 and 1.
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["generate", *self.OVERFLOW_DATA, "--out", str(data)]) == 0
+        assert main(["train", "--epochs", "1", *NET_FLAGS, *data_inputs(data),
+                     "--out", str(run)]) == 0
+        model = load_checkpoint(run / "model.ckpt")
+        for name, value in model.params.items():
+            if name.startswith("W_t_"):
+                value *= 1e120
+        save_checkpoint(model, tmp_path / "big.ckpt")
+        code, err = self.run_warning_free(capfd, [
+            "evaluate", "--checkpoint", str(tmp_path / "big.ckpt"), *data_inputs(data),
+            "--split", str(run / "split.json"), "--out", str(tmp_path / "eval")])
+        assert code == 4
+        assert len(err) == 1 and err[0].startswith(
+            "error: scorer failed for the 60 test users: scoring diverged: overflow")
+        assert not (tmp_path / "eval" / "metrics.json").exists()
 
     def test_source_user_holding_every_item_is_data_error(self, tmp_path, capsys):
         # No negative exists for such a user; training must stop, not spin.

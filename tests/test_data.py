@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conet.data import (
     CrossDomainDataset,
@@ -21,6 +21,7 @@ from conet.data import (
     save_split_manifest,
     write_atomic,
     write_interactions,
+    write_json,
 )
 from conet.errors import ConfigError, DataError
 from conet.numerics import derive_rng
@@ -82,6 +83,19 @@ class TestInteractionDataset:
         assert smaller.user_ids == ds.user_ids and smaller.item_ids == ds.item_ids
         with pytest.raises(DataError, match=r"\(user 3, item 0\) is out of range"):
             InteractionDataset.from_pairs(3, 4, [0, 3], [1, 0], ["a", "b", "c"], list("wxyz"))
+
+    def test_contains_without_interactions(self):
+        ds = InteractionDataset.from_pairs(2, 3, [], [], ["a", "b"], list("xyz"))
+        assert ds.contains([0, 1, 1], [0, 2, 1]).tolist() == [False] * 3
+        assert ds.contains(np.array([[0], [1]]), np.array([[0, 2]])).tolist() == [
+            [False, False], [False, False]]
+
+    def test_pick_items(self):
+        ds = make_dataset([[3, 1], [], [0]], 4)
+        users = np.array([0, 1, 2, 0])
+        assert ds.pick_items(users).tolist() == [1, -1, 0, 1]
+        drawn = ds.pick_items(users, np.random.default_rng(0))
+        assert drawn[1] == -1 and drawn[2] == 0 and {drawn[0], drawn[3]} <= {1, 3}
 
 
 # Ids may hold spaces, '#' and characters that are line breaks to
@@ -511,6 +525,28 @@ class TestWriteAtomic:
             write_atomic(path, "new")
         assert path.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+
+# JSON values as the artifacts hold them, with the scalars that need care.
+JSON_SCALAR = (st.none() | st.booleans() | st.text() | st.integers(-2 ** 70, 2 ** 70)
+               | st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]))
+JSON_KEY = st.text() | st.text(alphabet='a"\\\u00e9\u2603\n\x7f', max_size=4)
+JSON_VALUE = st.recursive(JSON_SCALAR, lambda inner: st.lists(inner, max_size=4)
+                          | st.lists(inner, max_size=4).map(tuple)
+                          | st.dictionaries(JSON_KEY, inner, max_size=4), max_leaves=24)
+
+
+class TestWriteJson:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(obj=JSON_VALUE)
+    @example(obj={'say "hi"': {"\u00e9\u2603": [2 ** 64, -2 ** 63 - 1, -0.0, float("nan"),
+                                                float("inf"), float("-inf"), True, None, ""]},
+                  "empty": [{}, [], (), {"": ()}], "tuple": (1, (2.5, "x"))})
+    def test_writes_what_the_stdlib_writes(self, tmp_path, obj):
+        path = tmp_path / "out.json"
+        write_json(path, obj)
+        assert path.read_bytes() == (json.dumps(obj, indent=1) + "\n").encode("ascii")
 
 
 class TestReduceTraining:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conet.errors import ConfigError
+from conet.errors import ConfigError, NumericError
 from conet.numerics import sigmoid
 from conet.models import (
     ARCHITECTURES,
@@ -280,6 +280,24 @@ class TestEvalModeScoring:
         for u, row, source, got in zip(users, candidates, sources, scores):
             expected = factored_forward(model, np.full(100, u), row, np.full(100, source))
             assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_overflow_is_a_numeric_error_not_a_warning(self, arch):
+        # Logits that overflow to +-inf would saturate to probabilities 0 and 1.
+        model = scaled_model(arch, 4)
+        for name, value in model.params.items():
+            if name.startswith("W_"):
+                value *= 1e120
+        with pytest.raises(NumericError, match="scoring diverged: overflow encountered"):
+            model.score_candidates([0, 1], [[0, 1, 2], [2, 3, 4]], [0, -1])
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_non_finite_logit_is_a_numeric_error(self, arch):
+        # NaN arithmetic raises no floating-point flag, so the logits are checked.
+        model = scaled_model(arch, 4)
+        model.params[model.towers[0].out][0] = np.nan
+        with pytest.raises(NumericError, match="scoring diverged: non-finite logit"):
+            model.score_candidates([0, 1], [[0, 1, 2], [2, 3, 4]], [0, -1])
 
 
 class TestTraceProbabilities:

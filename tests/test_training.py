@@ -346,7 +346,7 @@ class TestTrainer:
         config = TrainConfig(epochs=1, batch_size=16, seed=0)
         trainer = Trainer(model, split, config)
         before = {k: v.copy() for k, v in model.params.items()}
-        trainer._train_step("source", 0)
+        trainer._train_step("source")
         for name in ("Q_t", "W_t_0", "W_t_1", "b_t_1", "h_t"):
             assert np.array_equal(model.params[name], before[name]), name
         assert not np.array_equal(model.params["P"], before["P"])
@@ -390,7 +390,8 @@ class TestTrainer:
         model = small_model(sizes=sizes_of(split))
         model.params["h_t"][:] = np.nan
         trainer = Trainer(model, split, TrainConfig(epochs=1, batch_size=16, seed=0))
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match=r"^numeric divergence at epoch 1, step 0 "
+                           r"\(target batch\): non-finite training loss$"):
             trainer.train_epoch()
 
     def test_empty_validation_is_refused(self, split):
