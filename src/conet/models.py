@@ -41,6 +41,7 @@ __all__ = [
     "ModelConfig",
     "DomainSizes",
     "Model",
+    "RowGradient",
     "Trace",
     "build_model",
     "lasso_penalty",
@@ -239,6 +240,25 @@ _MIN_BLOCK_ROWS = 100
 # The model
 
 
+class RowGradient:
+    """An embedding table's gradient from ``(rows, values)`` parts: the unique
+    rows, ascending, and each one's entries summed by one bincount in input
+    order from 0.0, as a dense scatter sums them. ``np.asarray`` gives the table."""
+
+    def __init__(self, parts, shape):
+        rows, values = (np.concatenate(column) for column in zip(*parts))
+        self.rows, inverse = np.unique(rows, return_inverse=True)
+        d = shape[1]
+        cells = (inverse[:, None] * d + np.arange(d)).ravel()
+        self.values = np.bincount(cells, values.ravel(), self.rows.size * d).reshape(-1, d)
+        self.shape, self.size = shape, math.prod(shape)
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.shape, dtype=dtype)
+        dense[self.rows] = self.values
+        return dense
+
+
 @dataclass
 class Trace:
     """Intermediates of one forward pass, enough for backprop.
@@ -429,10 +449,10 @@ class Model:
                        wanted=None) -> dict:
         """Gradients of the summed cross-entropy loss of the labelled sides.
 
-        Either side's labels may be absent. Coupled towers exchange deltas,
-        so both run and the shared user embedding collects contributions
-        from both input paths and every transfer matrix from both coupling
-        directions; an uncoupled tower runs only when it is labelled.
+        Either side's labels may be absent. Coupled towers exchange deltas, so both
+        run and the shared user embedding collects contributions from both input
+        paths and every transfer matrix from both coupling directions; an uncoupled
+        tower runs only when it is labelled. Embedding tables get a :class:`RowGradient`.
         """
         want = set(self.params) if wanted is None else set(wanted)
         p = self.params
@@ -466,21 +486,16 @@ class Model:
             acts = trace.acts[k - 1]
             d_a = self._couple_backward(k, [acts[i] for i in live], d_pre, d_in, grads, want)
 
-        # Each embedding table's gradient is one bincount over the flat
-        # cells its rows touch, the target tower's first. bincount adds in
-        # input order, starting from 0.0, as np.add.at on a zeroed table does.
-        cells = {name: [] for name in tables & want}
+        # Each embedding table's rows and their deltas, the target tower's first.
+        parts = {name: [] for name in tables & want}
         for i, t, g in zip(live, towers, d_pre):
             d_x = g @ p[t.weights[0]]
             valid = trace.items[i] >= 0
             for name, rows, values in ((t.user, trace.users, d_x[:, :d]),
                                        (t.items, trace.items[i][valid], d_x[valid, d:])):
-                if name in cells:
-                    flat = (rows[:, None] * d + np.arange(d)).ravel()
-                    cells[name].append((flat, values.ravel()))
-        for name, parts in cells.items():
-            index, values = (np.concatenate(column) for column in zip(*parts))
-            grads[name] = np.bincount(index, values, minlength=p[name].size).reshape(p[name].shape)
+                if name in parts:
+                    parts[name].append((rows, values))
+        grads.update((name, RowGradient(part, p[name].shape)) for name, part in parts.items())
         return grads
 
     # -- scoring

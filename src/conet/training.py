@@ -21,7 +21,7 @@ import numpy as np
 from . import evaluation
 from .data import LooSplit, epoch_batches, num_batches
 from .errors import ConfigError, DataError, NumericError
-from .models import lasso_penalty
+from .models import RowGradient, lasso_penalty
 from .numerics import derive_rng
 
 __all__ = [
@@ -100,9 +100,9 @@ class Adam:
     Each tensor carries its own update count for bias correction, so a
     tensor that is only touched by every other batch (a domain-specific
     tower in alternating training) sees exactly the same update sequence
-    it would in a single-domain run. Updates run in place on the tensor
-    and its slot arrays, in the textbook formula's operation order, so they
-    round exactly as the out-of-place formula does.
+    it would in a single-domain run. A step decays every moment, adds the
+    gradient terms on the rows a :class:`RowGradient` touched, and moves
+    every entry in place in the textbook formula's order, bit for bit.
     """
 
     beta1, beta2, epsilon = 0.9, 0.999, 1e-8
@@ -112,6 +112,7 @@ class Adam:
             raise ConfigError("learning_rate must be > 0")
         self.learning_rate = learning_rate
         self.slots: dict = {}
+        self._scratch = np.empty((2, 0))
 
     def step(self, params: dict, grads: dict) -> None:
         """Apply one Adam update to every tensor present in ``grads``."""
@@ -126,10 +127,24 @@ class Adam:
             slot.t += 1
             m, v, t = slot.m, slot.v, slot.t
             m *= b1
-            m += (1 - b1) * g
             v *= b2
-            v += (1 - b2) * (g * g)
-            p -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+            if isinstance(g, RowGradient):
+                touched = m[g.rows] + (1 - b1) * g.values
+                m += 0.0  # an untouched row's (1 - b1) * 0.0 turns -0.0 into 0.0
+                m[g.rows] = touched
+                v[g.rows] += (1 - b2) * (g.values * g.values)  # v >= 0.0 is never -0.0
+            else:
+                m += (1 - b1) * g
+                v += (1 - b2) * (g * g)
+            if self._scratch.shape[1] < p.size:
+                self._scratch = np.empty((2, p.size))
+            s, u = self._scratch[:, : p.size].reshape(2, *p.shape)
+            np.divide(m, 1 - b1 ** t, out=s)
+            s *= lr
+            np.sqrt(np.divide(v, 1 - b2 ** t, out=u), out=u)
+            u += eps
+            s /= u
+            p -= s
 
 
 def proximal_l1(h: np.ndarray, threshold: float) -> np.ndarray:

@@ -231,6 +231,19 @@ def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e
         state[name] = (m, v, t)
 
 
+def dense_scatter(parts, shape):
+    """An embedding table's dense gradient from ``(rows, values)`` parts.
+
+    One bincount over the flat cells the rows touch, in the parts' order:
+    each cell sums its values in input order, starting from 0.0, as
+    ``np.add.at`` on a zeroed table does.
+    """
+    d = shape[1]
+    cells = np.concatenate([(rows[:, None] * d + np.arange(d)).ravel() for rows, _ in parts])
+    values = np.concatenate([values.ravel() for _, values in parts])
+    return np.bincount(cells, values, minlength=math.prod(shape)).reshape(shape)
+
+
 def rank_test_item(test_score, negative_scores):
     """1 + number of negatives scoring at least the test score.
 

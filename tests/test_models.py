@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conet import models
 from conet.errors import ConfigError, NumericError
 from conet.numerics import sigmoid
 from conet.models import (
@@ -12,12 +14,13 @@ from conet.models import (
     DomainSizes,
     Model,
     ModelConfig,
+    RowGradient,
     build_model,
     lasso_penalty,
 )
 from conftest import TINY_SIZES as TINY
-from conftest import (cross_unit, embed_lookup, factored_forward, freeze_cross_at_zero,
-                      gradient_check, model_with)
+from conftest import (cross_unit, dense_scatter, embed_lookup, factored_forward,
+                      freeze_cross_at_zero, gradient_check, model_with)
 from conftest import tiny_model_config as tiny_config
 from conftest import tiny_scaled_model as scaled_model
 
@@ -450,7 +453,7 @@ class TestBackward:
         grads = model.backward_batch(trace, labels_target=trace.probs[0].copy(),
                                      labels_source=trace.probs[1].copy())
         for g in grads.values():
-            assert np.all(g == 0.0)
+            assert np.all(np.asarray(g) == 0.0)
 
     def test_untouched_user_row_has_zero_gradient(self):
         model = scaled_model("conet", 12)
@@ -458,8 +461,42 @@ class TestBackward:
         trace = model.forward_batch(users, np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3]))
         grads = model.backward_batch(trace,
                                      labels_target=np.ones(4), labels_source=np.zeros(4))
-        assert np.all(grads["P"][3] == 0.0)
-        assert np.any(grads["P"][0] != 0.0)
+        assert np.all(np.asarray(grads["P"])[3] == 0.0)
+        assert np.any(np.asarray(grads["P"])[0] != 0.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(arch=st.sampled_from(["mlp", "mlp++", "csn", "conet", "unshared mlp++"]),
+           domain=st.sampled_from(["target", "source"]), seed=st.integers(0, 3),
+           examples=st.lists(st.tuples(st.integers(0, TINY.num_users - 1),
+                                       st.integers(-1, TINY.num_items_target - 1),
+                                       st.integers(-1, TINY.num_items_source - 1),
+                                       st.booleans()), min_size=1, max_size=40))
+    def test_row_gradients_match_the_dense_scatter(self, arch, domain, seed, examples):
+        # A training-shaped step: one labelled domain, its update group wanted.
+        # Small tables make users and items repeat; item -1 has no row.
+        model = scaled_model(arch.split()[-1], seed, unshared=arch.startswith("unshared"))
+        domain = domain if domain in model.domains else "target"
+        users, items_t, items_s, labels = (np.array(column) for column in zip(*examples))
+        trace = model.forward_batch(users, items_t, items_s)
+        built = []
+
+        class Recorded(RowGradient):
+            def __init__(self, parts, shape):
+                super().__init__(parts, shape)
+                built.append((self, parts, shape))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "RowGradient", Recorded)
+            grads = model.backward_batch(trace, **{f"labels_{domain}": labels.astype(float)},
+                                         wanted=model.groups[domain])
+        tables = {t.user for t in model.towers} | {t.items for t in model.towers}
+        assert sorted(id(g) for g, _, _ in built) == sorted(
+            id(g) for name, g in grads.items() if name in tables)
+        assert len(built) == 2
+        for g, parts, shape in built:
+            assert g.shape == shape and g.size == math.prod(shape)
+            assert np.array_equal(g.rows, np.unique(np.concatenate([r for r, _ in parts])))
+            assert np.asarray(g).tobytes() == dense_scatter(parts, shape).tobytes()
 
     def test_wanted_filters_output_but_not_flow(self):
         model = scaled_model("conet", 13)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from conet.data import CrossDomainDataset, loo_split
 from conet.errors import ConfigError, DataError, NumericError
-from conet.models import DomainSizes, ModelConfig, build_model, lasso_penalty
+from conet.models import DomainSizes, ModelConfig, RowGradient, build_model, lasso_penalty
 from conet.numerics import derive_rng, sigmoid
 from conet.training import (
     Adam,
@@ -98,7 +99,9 @@ class TestJointLoss:
         target = model.backward_batch(trace, labels_target=labels_t)
         source = model.backward_batch(trace, labels_source=labels_s)
         for name in both:
-            assert np.allclose(both[name], target[name] + source[name], rtol=1e-12, atol=1e-15)
+            assert np.allclose(np.asarray(both[name]),
+                               np.asarray(target[name]) + np.asarray(source[name]),
+                               rtol=1e-12, atol=1e-15)
 
     def test_all_zero(self, split):
         # mlp has no source loss and no transfer matrices to penalise.
@@ -176,7 +179,10 @@ class TestAdam:
     def test_in_place_step_matches_out_of_place_formula_bitwise(self):
         # Alternating-domain shapes: the shared table moves every step, each
         # tower table every other step, so update counts differ per tensor.
-        # Embedding gradients are sparse, as a mini-batch leaves them.
+        # Embedding tables get row gradients, as a mini-batch leaves them, and
+        # the reference steps their dense tables. Row 0 of each table is never
+        # touched; after its first step it holds m = -0.0 and p = -0.0, where
+        # the textbook's m * b1 + 0.0 gives m = 0.0 and keeps p at -0.0.
         lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-8
         rng = np.random.default_rng(11)
         shapes = {"P": (300, 32), "Q_t": (400, 32), "Q_s": (250, 32),
@@ -190,18 +196,50 @@ class TestAdam:
             names = ["P", "H_0", f"Q_{side}", f"W_{side}_0"] + (["b_t_0"] if side == "t" else [])
             grads = {}
             for n in names:
-                g = rng.normal(size=shapes[n])
                 if n.startswith(("P", "Q")):
-                    g[rng.random(shapes[n][0]) > 0.1] = 0.0
-                grads[n] = g
+                    rows = rng.integers(1, shapes[n][0], size=64)  # repeats, never row 0
+                    values = rng.normal(size=(64, shapes[n][1]))
+                    values[rng.random(values.shape) < 0.05] = 0.0
+                    grads[n] = RowGradient([(rows, values)], shapes[n])
+                else:
+                    grads[n] = rng.normal(size=shapes[n])
             opt.step(params, grads)
-            reference_adam_step(expected, grads, state, lr, b1, b2, eps)
+            reference_adam_step(expected, {n: np.asarray(g) for n, g in grads.items()},
+                                state, lr, b1, b2, eps)
+            if step < 2:
+                for n in ("P", f"Q_{side}"):
+                    for array in (opt.slots[n].m, state[n][0], params[n], expected[n]):
+                        array[0] = -0.0
         for n in shapes:
             m, v, t = state[n]
             assert opt.slots[n].t == t
-            assert np.array_equal(opt.slots[n].m, m) and np.array_equal(opt.slots[n].v, v), n
-            assert np.array_equal(params[n], expected[n]), n
+            assert opt.slots[n].m.tobytes() == m.tobytes(), n
+            assert opt.slots[n].v.tobytes() == v.tobytes(), n
+            assert params[n].tobytes() == expected[n].tobytes(), n
         assert {opt.slots[n].t for n in shapes} == {120, 60}
+        for n in ("P", "Q_t", "Q_s"):
+            assert not np.signbit(state[n][0][0]).any() and np.signbit(expected[n][0]).all()
+
+    def test_step_allocates_nothing_of_table_size(self):
+        # A default-size conet's target step. Once the slots and the scratch
+        # exist, a step's traced peak stays below the size of one item table,
+        # where full-size temporaries would take several times that.
+        model = build_model(ModelConfig(), DomainSizes(1000, 1600, 1000), 0)
+        rng = np.random.default_rng(0)
+        users = rng.integers(0, 1000, size=256)
+        trace = model.forward_batch(users, rng.integers(0, 1600, size=256),
+                                    rng.integers(-1, 1000, size=256))
+        grads = model.backward_batch(trace, labels_target=rng.integers(0, 2, size=256),
+                                     wanted=model.groups["target"])
+        opt = Adam(0.001)
+        opt.step(model.params, grads)
+        tracemalloc.start()
+        try:
+            opt.step(model.params, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.params["Q_t"].nbytes
 
 
 class TestProximalL1:
