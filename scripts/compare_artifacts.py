@@ -19,7 +19,8 @@ after ``generate`` reads the data the parent tree generated, so the two
 trees train on the same inputs. Each of the artifacts below is compared
 byte for byte; ``config.txt`` and every other file are skipped. It
 prints one line per artifact and exits 0 when all are identical, 1 when
-one differs or is missing, and 2 when a run fails.
+one differs or is missing, and 2 when ``PARENT_REF`` cannot be exported
+or a run fails.
 """
 
 from __future__ import annotations
@@ -111,8 +112,12 @@ def main(argv=None) -> int:
         parent = tmp / "parent-tree"
         parent.mkdir()
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent_ref],
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+                                 capture_output=True)
+        if archive.returncode != 0:
+            reason = " ".join(archive.stderr.decode(errors="replace").split())
+            print(f"error: cannot export {args.parent_ref}: {reason}", file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
         try:
             run_tree(parent, tmp / "parent" / "generate", tmp / "parent")
             run_tree(ROOT, tmp / "parent" / "generate", tmp / "change")

@@ -23,7 +23,7 @@ from . import checkpoint as ckpt
 from . import data as dataio
 from . import studies
 from .errors import ConetError, ConfigError, DataError
-from .evaluation import evaluate
+from .evaluation import DEFAULT_TOP_N, evaluate
 from .models import DomainSizes, Model, ModelConfig, build_model
 from .numerics import derive_rng
 from .training import EpochStats, TrainConfig, Trainer, make_scorer
@@ -65,7 +65,7 @@ class RunConfig:
     relatedness: float = dataio.SyntheticConfig.relatedness
     target_density: float = dataio.SyntheticConfig.target_density
     source_density: float = dataio.SyntheticConfig.source_density
-    top_n: int = 10
+    top_n: int = DEFAULT_TOP_N
     mrr_uncut: bool = False
     out: str = ""
 
@@ -225,19 +225,19 @@ def cmd_train(config: RunConfig, args, out_dir: Path) -> None:
     if model_config.architecture == "mlp":
         print("note: architecture mlp ignores the source domain during training",
               file=sys.stderr)
-    dataio.save_split_manifest(split, out_dir / "split.json")
-
     model = build_model(model_config, DomainSizes.from_split(split), train_config.seed)
     trainer = Trainer(model, split, train_config)
     stats = trainer.fit()
+    # Every file is written after training, so a run that fails leaves an earlier one's whole.
+    dataio.save_split_manifest(split, out_dir / "split.json")
     ckpt.save_checkpoint(model, out_dir / "model.ckpt")
     dataio.write_atomic(out_dir / "history.jsonl",
                         "".join(st.to_json_line() + "\n" for st in stats))
 
     summary = {"architecture": config.architecture, "dataset": _dataset_name(config),
                "epochs_trained": len(stats)}
-    if stats:
-        best = max(stats, key=lambda st: st.val_ndcg)
+    best = trainer.best
+    if best:
         summary.update({
             "best_epoch": best.epoch,
             "val_hr": best.val_hr,
@@ -326,8 +326,14 @@ def cmd_sparsity_report(config: RunConfig, args, out_dir: Path) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
+    """The verb's config; only ``evaluate`` may change a ranking setting from its default."""
     overrides = {f.name: getattr(args, f"cfg_{f.name}") for f in dataclasses.fields(RunConfig)}
-    return load_run_config(args.config, overrides)
+    config = load_run_config(args.config, overrides)
+    for name in ("top_n", "mrr_uncut"):
+        if args.command != "evaluate" and getattr(config, name) != getattr(RunConfig, name):
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"{args.command} does not take {flag}; only evaluate does")
+    return config
 
 
 class _Parser(argparse.ArgumentParser):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from .data import LooSplit, reduce_training
 from .errors import ConfigError
 from .evaluation import MetricsReport, evaluate, ndcg_contributions, paired_t_test
-from .models import DomainSizes, ModelConfig, build_model
+from .models import ARCHITECTURES, DomainSizes, ModelConfig, build_model
 from .numerics import derive_rng
 from .training import TrainConfig, Trainer, make_scorer, sparsity_ratio
 
@@ -34,7 +34,7 @@ __all__ = [
 
 # "conet" is the dense cross-connection model, "sconet" the same
 # architecture trained with the L1 penalty on its transfer matrices.
-ARCH_CHOICES = ("mlp", "mlp++", "csn", "conet", "sconet")
+ARCH_CHOICES = (*ARCHITECTURES, "sconet")
 
 
 @dataclass
@@ -87,13 +87,13 @@ class StudyReport:
 def model_config_for(arch: str, base: ModelConfig) -> ModelConfig:
     """Resolve a study arch name into a concrete model config.
 
-    ``sconet`` keeps the configured lambda, or the 0.1 default when it is
-    zero; every other arch, ``conet`` among them, runs without the penalty.
+    ``sconet`` keeps the configured lambda, or ModelConfig's default when it
+    is zero; every other arch, ``conet`` among them, runs without the penalty.
     """
     if arch not in ARCH_CHOICES:
         raise ConfigError(f"unknown architecture {arch!r}; pick one of {ARCH_CHOICES}")
     if arch == "sconet":
-        lam = base.lasso_lambda or 0.1
+        lam = base.lasso_lambda or ModelConfig.lasso_lambda
         return replace(base, architecture="conet", lasso_lambda=lam)
     return replace(base, architecture=arch, lasso_lambda=0.0)
 

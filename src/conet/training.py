@@ -329,25 +329,25 @@ class Trainer:
     def fit(self) -> list:
         """Run up to ``epochs`` epochs with early stopping on validation NDCG.
 
-        Leaves the model at the best-validation parameters and returns the
-        per-epoch stats.
+        Leaves the model at the best-validation parameters and that epoch's
+        stats in ``best`` (None after zero epochs); returns every epoch's stats.
         """
         cfg = self.config
-        best = dict(self.model.params)  # the first epoch always replaces these
-        best_ndcg = -math.inf
+        best_params = dict(self.model.params)  # the first epoch always replaces these
+        self.best = None
         bad = 0
         stats = []
         for _ in range(cfg.epochs):
             st = self.train_epoch()
             stats.append(st)
-            if st.val_ndcg > best_ndcg:
-                best_ndcg = st.val_ndcg
-                best = {k: v.copy() for k, v in self.model.params.items()}
+            if self.best is None or st.val_ndcg > self.best.val_ndcg:
+                self.best = st
+                best_params = {k: v.copy() for k, v in self.model.params.items()}
                 bad = 0
             else:
                 bad += 1
                 if cfg.patience is not None and bad >= cfg.patience:
                     break
         for k in self.model.params:
-            self.model.params[k] = best[k]
+            self.model.params[k] = best_params[k]
         return stats

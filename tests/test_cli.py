@@ -352,6 +352,22 @@ class TestStudies:
         assert study["rows"][1]["p_value"] == 1.0
         assert study["rows"][0]["ndcg"] == study["rows"][1]["ndcg"]
 
+    def test_compare_arm_is_train_then_evaluate(self, tmp_path):
+        data = generate(tmp_path)
+        flags = [*NET_FLAGS, *FAST_FLAGS, *data_inputs(data), "--seed", "4"]
+        assert main(["compare", "--archs", "conet", *flags, "--out", str(tmp_path / "cmp")]) == 0
+        assert main(["train", "--architecture", "conet", *flags,
+                     "--out", str(tmp_path / "run")]) == 0
+        assert main(["evaluate", "--checkpoint", str(tmp_path / "run" / "model.ckpt"),
+                     "--split", str(tmp_path / "run" / "split.json"), *data_inputs(data),
+                     "--out", str(tmp_path / "eval")]) == 0
+        row, = json.loads((tmp_path / "cmp" / "study.json").read_text())["rows"]
+        metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert {k: row[k] for k in ("hr", "ndcg", "mrr")} == {
+            k: metrics[k] for k in ("hr", "ndcg", "mrr")}
+        assert row["details"]["epochs_trained"] == summary["epochs_trained"]
+
     def test_reduce_study_shape(self, tmp_path):
         data = generate(tmp_path)
         out = tmp_path / "red"
@@ -560,6 +576,26 @@ class TestMalformedInput:
         assert len(err) == 1 and err[0].startswith(
             "error: numeric divergence at epoch 1, step 0 (source batch): overflow encountered")
 
+    def test_diverging_rerun_leaves_the_finished_run_whole(self, tmp_path, capfd):
+        # A finished run, then one that diverges into the same directory: the
+        # directory's split and checkpoint still score as the finished run.
+        data = generate(tmp_path, seed=3)
+        out = tmp_path / "o"
+        inputs = [*data_inputs(data), "--epochs", "3", "--out", str(out)]
+
+        def evaluate(name):
+            assert main(["evaluate", "--checkpoint", str(out / "model.ckpt"),
+                         "--split", str(out / "split.json"), *data_inputs(data),
+                         "--out", str(tmp_path / name)]) == 0
+            return (tmp_path / name / "metrics.json").read_bytes()
+
+        assert main(["train", "--seed", "1", *inputs]) == 0
+        split, metrics = (out / "split.json").read_bytes(), evaluate("before")
+        assert main(["train", "--seed", "2", "--learning-rate", "1e30", *inputs]) == 4
+        capfd.readouterr()
+        assert (out / "split.json").read_bytes() == split
+        assert evaluate("after") == metrics
+
     # The 60-user set on which an overflow first appears while ranking.
     OVERFLOW_DATA = ["--users", "60", "--items-target", "200", "--items-source", "200",
                      "--latent-dim", "4", "--target-density", "0.05", "--source-density", "0.05"]
@@ -694,6 +730,30 @@ class TestMalformedInput:
                      "--split", str(run / "split.json"), "--top-n", top_n,
                      "--out", str(tmp_path / "eval")])
         self.assert_one_line_error(capsys, code, 2)
+
+    @pytest.mark.parametrize("argv", [["generate"], ["train"], ["compare", "--archs", "mlp"],
+                                      ["lambda-sweep", "--lambdas", "0"],
+                                      ["reduce-study", "--levels", "0"],
+                                      ["sparsity-report", "--history", "history.jsonl"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("flag,value", [("--top-n", "3"), ("--mrr-uncut", "true")])
+    def test_ranking_flag_outside_evaluate_is_config_error(self, tmp_path, capsys, frozen_run,
+                                                           argv, flag, value):
+        data, _ = frozen_run
+        capsys.readouterr()
+        out = tmp_path / "o"
+        code = main([*argv, *NET_FLAGS, *FAST_FLAGS, *data_inputs(data), flag, value,
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {argv[0]} does not take {flag}; only evaluate does\n")
+        assert not out.exists()
+
+    def test_echoed_config_with_default_ranking_keys_reruns(self, tmp_path, frozen_run):
+        # config.txt lists top_n and mrr_uncut at their defaults for every verb.
+        _, run = frozen_run
+        assert main(["train", "--config", str(run / "config.txt"), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "model.ckpt").read_bytes() == (run / "model.ckpt").read_bytes()
 
     def test_malformed_history_is_data_error(self, tmp_path, capsys):
         history = tmp_path / "history.jsonl"

@@ -40,3 +40,11 @@ def test_identical_trees_are_all_same(tmp_path):
     write(tmp_path / "change", files)
     lines = compare_artifacts.compare_outputs(tmp_path / "parent", tmp_path / "change")
     assert [status for _, status in lines] == ["same"] * len(compare_artifacts.ARTIFACTS)
+
+
+def test_unexportable_ref_is_one_error_line_and_exit_2(capsys):
+    assert compare_artifacts.main(["no-such-ref"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: cannot export no-such-ref: ")

@@ -393,8 +393,8 @@ class TestTrainer:
     def test_fit_zero_epochs_returns_initialized_model(self, split):
         model = small_model(sizes=sizes_of(split), seed=5)
         reference = build_model(model.config, sizes_of(split), 5)
-        stats = Trainer(model, split, TrainConfig(epochs=0, seed=0)).fit()
-        assert stats == []
+        trainer = Trainer(model, split, TrainConfig(epochs=0, seed=0))
+        assert trainer.fit() == [] and trainer.best is None
         assert all(np.array_equal(model.params[k], reference.params[k])
                    for k in reference.params)
 
@@ -419,10 +419,14 @@ class TestTrainer:
         # An untrainable model (zero lr would be invalid, so freeze by huge
         # lambda zeroing H and tiny epochs) is overkill; instead patience=1
         # stops as soon as validation NDCG fails to improve once.
+        # The trainer keeps the first epoch of highest validation NDCG as its best.
         model = small_model(sizes=sizes_of(split), seed=3)
-        stats = Trainer(model, split,
-                        TrainConfig(epochs=30, batch_size=16, seed=3, patience=1)).fit()
+        trainer = Trainer(model, split,
+                          TrainConfig(epochs=30, batch_size=16, seed=3, patience=1))
+        stats = trainer.fit()
         assert len(stats) < 30
+        top = max(st.val_ndcg for st in stats)
+        assert trainer.best is next(st for st in stats if st.val_ndcg == top)
 
     def test_non_finite_loss_aborts(self, split):
         model = small_model(sizes=sizes_of(split))
