@@ -24,7 +24,7 @@ from . import data as dataio
 from . import studies
 from .errors import ConetError, ConfigError, DataError
 from .evaluation import DEFAULT_TOP_N, evaluate
-from .models import DomainSizes, Model, ModelConfig, build_model
+from .models import DomainSizes, Model, ModelConfig
 from .numerics import derive_rng
 from .training import EpochStats, TrainConfig, Trainer, make_scorer
 
@@ -70,7 +70,7 @@ class RunConfig:
     out: str = ""
 
     def __post_init__(self):
-        for name in ("workers", "min_user_interactions"):
+        for name in ("workers", "min_user_interactions", "top_n"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -148,8 +148,10 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = _coerce(key.strip(), value.strip())
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} is given twice")
+            values[key] = _coerce(key, value)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
@@ -170,10 +172,6 @@ def resolve_out_dir(config: RunConfig, command: str) -> Path:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return path
-
-
-def _echo_config(config: RunConfig, out_dir: Path) -> None:
-    dataio.write_atomic(out_dir / "config.txt", config.to_flat_text())
 
 
 def _dataset_name(config: RunConfig) -> str:
@@ -225,12 +223,11 @@ def cmd_train(config: RunConfig, args, out_dir: Path) -> None:
     if model_config.architecture == "mlp":
         print("note: architecture mlp ignores the source domain during training",
               file=sys.stderr)
-    model = build_model(model_config, DomainSizes.from_split(split), train_config.seed)
-    trainer = Trainer(model, split, train_config)
+    trainer = Trainer.for_split(model_config, split, train_config)
     stats = trainer.fit()
     # Every file is written after training, so a run that fails leaves an earlier one's whole.
     dataio.save_split_manifest(split, out_dir / "split.json")
-    ckpt.save_checkpoint(model, out_dir / "model.ckpt")
+    ckpt.save_checkpoint(trainer.model, out_dir / "model.ckpt")
     dataio.write_atomic(out_dir / "history.jsonl",
                         "".join(st.to_json_line() + "\n" for st in stats))
 
@@ -393,7 +390,7 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         out_dir = resolve_out_dir(config, args.command)
         args.run(config, args, out_dir)
-        _echo_config(config, out_dir)
+        dataio.write_atomic(out_dir / "config.txt", config.to_flat_text())
         return 0
     except ConetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -119,8 +119,6 @@ class DomainSizes:
 
 def lasso_penalty(h_matrices, lam: float) -> float:
     """L1 penalty ``lam * sum |h_ij|`` over all transfer matrices."""
-    if lam == 0.0:
-        return 0.0
     return lam * float(sum(np.abs(h).sum() for h in h_matrices))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from .data import LooSplit, reduce_training
 from .errors import ConfigError
 from .evaluation import MetricsReport, evaluate, ndcg_contributions, paired_t_test
-from .models import ARCHITECTURES, DomainSizes, ModelConfig, build_model
+from .models import ARCHITECTURES, ModelConfig
 from .numerics import derive_rng
 from .training import TrainConfig, Trainer, make_scorer, sparsity_ratio
 
@@ -100,10 +100,10 @@ def model_config_for(arch: str, base: ModelConfig) -> ModelConfig:
 
 def _train_and_evaluate(config: ModelConfig, split: LooSplit, train_config: TrainConfig):
     """Train one arm; return ``(test report, epochs trained, H zero ratios)``."""
-    model = build_model(config, DomainSizes.from_split(split), train_config.seed)
-    stats = Trainer(model, split, train_config).fit()
-    report = evaluate(make_scorer(model, split), split, partition="test")
-    return report, len(stats), [sparsity_ratio(h) for h in model.transfer_matrices()]
+    trainer = Trainer.for_split(config, split, train_config)
+    stats = trainer.fit()
+    report = evaluate(make_scorer(trainer.model, split), split, partition="test")
+    return report, len(stats), [sparsity_ratio(h) for h in trainer.model.transfer_matrices()]
 
 
 def _run_arms(kind: str, arms, baseline: int, train_config: TrainConfig,

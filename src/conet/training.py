@@ -21,7 +21,7 @@ import numpy as np
 from . import evaluation
 from .data import LooSplit, epoch_batches, num_batches
 from .errors import ConfigError, DataError, NumericError
-from .models import RowGradient, lasso_penalty
+from .models import DomainSizes, RowGradient, build_model, lasso_penalty
 from .numerics import derive_rng
 
 __all__ = [
@@ -247,14 +247,17 @@ class Trainer:
         self._pair_rng = {d: derive_rng(config.seed, "pairing", d) for d in ("target", "source")}
         self._iters = {domain: self._cycle(domain) for domain in model.domains}
 
-    def _dataset(self, domain: str):
-        return self.split.train.target if domain == "target" else self.split.train.source
+    @classmethod
+    def for_split(cls, model_config, split: LooSplit, config: TrainConfig) -> "Trainer":
+        """A new ``model_config`` model sized by ``split`` and drawn from ``config.seed``."""
+        sizes = DomainSizes.from_split(split)
+        return cls(build_model(model_config, sizes, config.seed), split, config)
 
     def _cycle(self, domain: str):
         cfg = self.config
         rng = derive_rng(cfg.seed, "batches", domain)
         while True:
-            yield from epoch_batches(self._dataset(domain), domain, cfg.batch_size,
+            yield from epoch_batches(getattr(self.split.train, domain), domain, cfg.batch_size,
                                      cfg.negative_ratio, rng)
 
     def _paired_items(self, domain: str, users: np.ndarray) -> np.ndarray:
@@ -296,7 +299,8 @@ class Trainer:
         model = self.model
         cfg = self.config
         self._epoch += 1
-        steps = max(num_batches(self._dataset(d), cfg.batch_size) for d in model.domains)
+        steps = max(num_batches(getattr(self.split.train, d), cfg.batch_size)
+                    for d in model.domains)
         sums = {"target": 0.0, "source": 0.0}
         counts = {"target": 0, "source": 0}
         try:

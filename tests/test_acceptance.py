@@ -12,7 +12,6 @@ CONET_AMAZON_DIR at a directory containing books.tsv and movies.tsv
 (binarized `user<TAB>item` interactions) to enable it.
 """
 
-import json
 import math
 import os
 import time
@@ -37,7 +36,7 @@ from conet.numerics import derive_rng
 from conet.studies import model_config_for, reduce_study
 from conet.training import TrainConfig, Trainer, make_scorer, sparsity_ratio
 
-from conftest import freeze_cross_at_zero, from_adjacency, gradient_check
+from oracles import freeze_cross_at_zero, from_adjacency, gradient_check
 
 
 def record(num, name, ok, detail=""):
@@ -57,19 +56,13 @@ def study_split(seed):
     return _STUDY_CACHE[seed]
 
 
-def sizes_of(split):
-    return DomainSizes(split.train.num_users, split.train.target.num_items,
-                       split.train.source.num_items)
-
-
 def train_arch(arch, split, seed, epochs, patience, lasso_lambda=0.1):
     base = ModelConfig(architecture="conet", lasso_lambda=lasso_lambda)
-    config = model_config_for(arch, base)
-    model = build_model(config, sizes_of(split), seed)
-    stats = Trainer(model, split, TrainConfig(epochs=epochs, patience=patience,
-                                              seed=seed)).fit()
-    report = evaluate(make_scorer(model, split), split, partition="test")
-    return model, stats, report
+    trainer = Trainer.for_split(model_config_for(arch, base), split,
+                                TrainConfig(epochs=epochs, patience=patience, seed=seed))
+    stats = trainer.fit()
+    report = evaluate(make_scorer(trainer.model, split), split, partition="test")
+    return trainer.model, stats, report
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +150,7 @@ def test_criterion_03_metric_oracle(small_split):
     num_users = 200
     data_scores = {u: rng.normal(size=100) for u in range(num_users)}
 
-    from conftest import make_cross_domain
+    from oracles import make_cross_domain
 
     data = make_cross_domain(num_users=num_users, per_user_target=6,
                              per_user_source=4, n_target=150, n_source=120, seed=7)
@@ -261,9 +254,8 @@ def test_criterion_06_csn_width_refusal():
 def test_criterion_07_optimization_sanity():
     """Loss drops within 15 epochs and the selected checkpoint beats epoch 1."""
     _, split = study_split(0)
-    model = build_model(ModelConfig(architecture="conet", lasso_lambda=0.1),
-                        sizes_of(split), 0)
-    trainer = Trainer(model, split, TrainConfig(epochs=15, patience=None, seed=0))
+    trainer = Trainer.for_split(ModelConfig(architecture="conet", lasso_lambda=0.1), split,
+                                TrainConfig(epochs=15, patience=None, seed=0))
     stats = trainer.fit()
     assert len(stats) == 15
     loss_drops = (stats[14].loss_target < stats[0].loss_target

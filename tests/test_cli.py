@@ -116,7 +116,7 @@ class TestRunConfig:
         got = getattr(load_run_config(overrides={key: raw}), key)
         assert got == value and type(got) is type(value)
 
-    @pytest.mark.parametrize("key", ["workers", "min_user_interactions"])
+    @pytest.mark.parametrize("key", ["workers", "min_user_interactions", "top_n"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_run_setting_below_one_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -684,6 +684,18 @@ class TestMalformedInput:
         code = main(["generate", "--config", str(config), "--out", str(tmp_path / "o")])
         self.assert_one_line_error(capsys, code, 3)
 
+    def test_repeated_config_key_is_config_error(self, tmp_path, capsys, frozen_run):
+        data, _ = frozen_run
+        config = tmp_path / "dup.txt"
+        config.write_text("seed = 1\nepochs = 1\nseed = 2\n")
+        capsys.readouterr()
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(config), *NET_FLAGS, *data_inputs(data),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {config}:3: key 'seed' is given twice\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", ["train", "compare", "lambda-sweep", "reduce-study"])
     def test_no_user_to_rank_is_data_error_at_set_up(self, tmp_path, capsys, monkeypatch,
                                                      unrankable, verb):
@@ -730,6 +742,7 @@ class TestMalformedInput:
                      "--split", str(run / "split.json"), "--top-n", top_n,
                      "--out", str(tmp_path / "eval")])
         self.assert_one_line_error(capsys, code, 2)
+        assert not (tmp_path / "eval").exists()  # refused before any input is read
 
     @pytest.mark.parametrize("argv", [["generate"], ["train"], ["compare", "--archs", "mlp"],
                                       ["lambda-sweep", "--lambdas", "0"],

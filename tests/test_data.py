@@ -26,9 +26,9 @@ from conet.data import (
 from conet.errors import ConfigError, DataError
 from conet.numerics import derive_rng
 
-from conftest import (from_adjacency, has, held_by_user, items_by_user, reference_batches,
-                      reference_load_interactions, reference_loo_draws, reference_manifest_text,
-                      same_interactions)
+from oracles import (from_adjacency, has, held_by_user, items_by_user, reference_batches,
+                     reference_load_interactions, reference_loo_draws, reference_manifest_text,
+                     same_interactions)
 
 HELD_OUT = ("users", "test", "validation", "eval_negatives")
 

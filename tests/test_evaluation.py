@@ -20,8 +20,8 @@ from conet.numerics import derive_rng
 from conet.studies import model_config_for
 from conet.training import make_scorer
 
-from conftest import (from_adjacency, held_by_user, items_by_user, make_cross_domain,
-                      per_user_scorer, rank_test_item, reference_evaluate)
+from oracles import (from_adjacency, held_by_user, items_by_user, make_cross_domain,
+                     per_user_scorer, rank_test_item, reference_evaluate)
 
 
 class _FixedScorer:

@@ -18,11 +18,11 @@ from conet.models import (
     build_model,
     lasso_penalty,
 )
-from conftest import TINY_SIZES as TINY
-from conftest import (cross_unit, dense_scatter, embed_lookup, factored_forward,
-                      freeze_cross_at_zero, gradient_check, model_with)
-from conftest import tiny_model_config as tiny_config
-from conftest import tiny_scaled_model as scaled_model
+from oracles import TINY_SIZES as TINY
+from oracles import (cross_unit, dense_scatter, embed_lookup, factored_forward,
+                     freeze_cross_at_zero, gradient_check, model_with)
+from oracles import tiny_model_config as tiny_config
+from oracles import tiny_scaled_model as scaled_model
 
 
 def probs_of(model, user, item_target, item_source=-1):

@@ -8,7 +8,7 @@ from conet.errors import ConfigError, NumericError
 from conet.models import DomainSizes, ModelConfig, build_model
 from conet.numerics import derive_rng, sigmoid
 
-from conftest import affine, finite_difference_gradient, mask_sigmoid, model_with
+from oracles import affine, finite_difference_gradient, mask_sigmoid, model_with
 
 
 def mlp_with(widths, **params):

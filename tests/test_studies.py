@@ -19,7 +19,7 @@ from conet.studies import (
 )
 from conet.training import TrainConfig
 
-from conftest import make_cross_domain
+from oracles import make_cross_domain
 
 
 @pytest.fixture(scope="module")

@@ -20,8 +20,8 @@ from conet.training import (
     sparsity_ratio,
 )
 
-from conftest import (cross_entropy_loss, factored_forward, from_adjacency, make_cross_domain,
-                      reference_adam_step, reference_pairing)
+from oracles import (cross_entropy_loss, factored_forward, from_adjacency, make_cross_domain,
+                     reference_adam_step, reference_pairing)
 
 
 def small_model(arch="conet", lam=0.1, sizes=None, seed=0):
@@ -396,6 +396,15 @@ class TestTrainer:
         trainer = Trainer(model, split, TrainConfig(epochs=0, seed=0))
         assert trainer.fit() == [] and trainer.best is None
         assert all(np.array_equal(model.params[k], reference.params[k])
+                   for k in reference.params)
+
+    def test_for_split_sizes_the_model_by_the_split_and_seeds_it_from_the_config(self, split):
+        config = small_model(sizes=sizes_of(split)).config
+        trainer = Trainer.for_split(config, split, TrainConfig(epochs=1, seed=5))
+        reference = build_model(config, sizes_of(split), 5)
+        assert trainer.model.config == config and trainer.config.seed == 5
+        assert trainer.model.params.keys() == reference.params.keys()
+        assert all(np.array_equal(trainer.model.params[k], reference.params[k])
                    for k in reference.params)
 
     def test_fit_deterministic(self, split):
